@@ -41,7 +41,9 @@ from .engine import (
     analytic_power,
     compute_gram,
     deviation_estimate,
+    discover_structure,
     mean_matrix_test,
+    screen_row_sets,
     test_known_difference,
     test_known_matrix,
     trace_cov_sq_fast,
@@ -60,7 +62,6 @@ from .simulate import (
     SimConfig,
     SparseMean,
     ZeroMean,
-    calibrate_mean,
     gen_noise,
     gen_stack,
     monte_carlo,
@@ -99,12 +100,12 @@ __all__ = [
     "anova_rowwise",
     "build_preset",
     "build_projection",
-    "calibrate_mean",
     "chen_qin_two_sample",
     "compute_gram",
     "covariance_from_dict",
     "deviation",
     "deviation_estimate",
+    "discover_structure",
     "gen_noise",
     "gen_stack",
     "kruskal_rowwise",
@@ -114,6 +115,7 @@ __all__ = [
     "pairwise_cq_procedure",
     "read_row_sets",
     "replicate_rng",
+    "screen_row_sets",
     "sqrt_factor",
     "test_known_difference",
     "test_known_matrix",

@@ -23,8 +23,7 @@ import numpy as np
 from scipy import stats
 
 from .core import DataStack, GroupPartition
-from .engine import TestResult, trace_cov_sq_fast, z_quantile
-from scipy.special import ndtr
+from .engine import TestResult, _standardize, deviation_estimate, trace_cov_sq_fast
 
 __all__ = [
     "PValueVector",
@@ -205,83 +204,53 @@ def adjust_pvalues(raw: PValueVector, method: str) -> PValueVector:
     return PValueVector(adjusted, method, raw.degenerate_rows)
 
 
-def _offdiag_mean(gram: np.ndarray) -> float:
-    n = gram.shape[0]
-    return float(gram.sum() - np.trace(gram)) / (n * (n - 1))
-
-
-def _cross_trace_estimate(cross: np.ndarray) -> float:
-    """Unbiased estimate of tr(Sigma_1 Sigma_2) from the cross gram.
+def _cross_trace_estimate(cross: np.ndarray) -> np.ndarray:
+    """Unbiased estimate of tr(Sigma_1 Sigma_2) from each cross gram.
 
     Expands the product of two pair-averages over mutually distinct
     indices; inclusion-exclusion on the index coincidences reduces all
     four sums to row/column marginals of the cross gram, so the cost
-    stays O(n1 * n2).
+    stays O(n1 * n2).  ``cross`` has shape (..., n1, n2).
     """
-    n1, n2 = cross.shape
+    n1, n2 = cross.shape[-2:]
     if min(n1, n2) < 2:
         raise ValueError("cross-trace estimate needs at least 2 per group")
     sq = cross * cross
-    row_sum = cross.sum(axis=1)
-    col_sum = cross.sum(axis=0)
-    row_sq = sq.sum(axis=1)
-    col_sq = sq.sum(axis=0)
-    total = float(cross.sum())
-    total_sq = float(sq.sum())
+    row_sum = cross.sum(axis=-1)
+    col_sum = cross.sum(axis=-2)
+    row_sq = sq.sum(axis=-1)
+    col_sq = sq.sum(axis=-2)
+    total = cross.sum(axis=(-2, -1))
+    total_sq = sq.sum(axis=(-2, -1))
     t1 = total_sq / (n1 * n2)
-    t2a = float((col_sum * col_sum - col_sq).sum()) / (n1 * (n1 - 1) * n2)
-    t2b = float((row_sum * row_sum - row_sq).sum()) / (n1 * n2 * (n2 - 1))
+    t2a = (col_sum * col_sum - col_sq).sum(axis=-1) / (n1 * (n1 - 1) * n2)
+    t2b = (row_sum * row_sum - row_sq).sum(axis=-1) / (n1 * n2 * (n2 - 1))
     t3 = (
-        total * total - float(row_sum @ row_sum) - float(col_sum @ col_sum) + total_sq
+        total * total
+        - (row_sum * row_sum).sum(axis=-1)
+        - (col_sum * col_sum).sum(axis=-1)
+        + total_sq
     ) / (n1 * (n1 - 1) * n2 * (n2 - 1))
     return t1 - t2a - t2b + t3
 
 
-def _cq_from_grams(
-    gram_a: np.ndarray,
-    gram_b: np.ndarray,
-    cross: np.ndarray,
-    dim: int,
-    alpha: float,
-) -> TestResult:
-    n1 = gram_a.shape[0]
-    n2 = gram_b.shape[0]
-    loc = (
-        _offdiag_mean(gram_a)
-        + _offdiag_mean(gram_b)
-        - 2.0 * float(cross.sum()) / (n1 * n2)
-    )
-    var = (
-        2.0 * trace_cov_sq_fast(gram_a) / (n1 * (n1 - 1))
-        + 2.0 * trace_cov_sq_fast(gram_b) / (n2 * (n2 - 1))
-        + 4.0 * _cross_trace_estimate(cross) / (n1 * n2)
-    )
-    common = dict(
-        n_used=n1 + n2,
-        r_used=dim,
-        c_used=2,
-        orientation="columns",
-        alpha=alpha,
-        dropped_columns=(),
-    )
-    if var <= 0.0:
-        return TestResult(
-            statistic=float("nan"),
-            p_value=float("nan"),
-            deviation_est=loc,
-            trace_cov_sq=var,
-            reject=None,
-            failure="unstable variance estimate (nonpositive plug-in variance)",
-            **common,
-        )
-    stat = loc / np.sqrt(var)
-    return TestResult(
-        statistic=float(stat),
-        p_value=float(ndtr(-stat)),
-        deviation_est=loc,
-        trace_cov_sq=var,
-        reject=bool(stat >= z_quantile(alpha)),
-        **common,
+def _within(gram: np.ndarray) -> tuple:
+    """Location and variance terms of one group, from its gram(s)."""
+    n = gram.shape[-1]
+    return deviation_estimate(gram), 2.0 * trace_cov_sq_fast(gram) / (n * (n - 1))
+
+
+def _cq_results(
+    within_a, within_b, cross: np.ndarray, dim: int, alpha: float
+) -> list[TestResult]:
+    """Two-sample tests from per-group terms and a batch of cross grams."""
+    (loc_a, var_a), (loc_b, var_b) = within_a, within_b
+    n1, n2 = cross.shape[-2:]
+    loc = loc_a + loc_b - 2.0 * cross.sum(axis=(-2, -1)) / (n1 * n2)
+    var = var_a + var_b + 4.0 * _cross_trace_estimate(cross) / (n1 * n2)
+    return _standardize(
+        loc, var, var, dim, alpha, "plug-in variance",
+        n_used=n1 + n2, c_used=2, orientation="columns",
     )
 
 
@@ -308,11 +277,7 @@ def chen_qin_two_sample(group1, group2, alpha: float = 0.05) -> TestResult:
         raise ValueError("group data contain non-finite values")
     if x.shape[0] < 4 or y.shape[0] < 4:
         raise ValueError("each group needs at least 4 vectors")
-    ga = x @ x.T
-    ga = np.tril(ga) + np.tril(ga, -1).T
-    gb = y @ y.T
-    gb = np.tril(gb) + np.tril(gb, -1).T
-    return _cq_from_grams(ga, gb, x @ y.T, x.shape[1], alpha)
+    return _cq_results(_within(x @ x.T), _within(y @ y.T), x @ y.T, x.shape[1], alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -343,7 +308,8 @@ def pairwise_cq_procedure(stack: DataStack, alpha: float = 0.05) -> PairwiseCqSu
     Each column is treated as a group of N r-vectors (dependence
     between columns is deliberately ignored; that is the procedure
     under study).  One big gram over all column vectors feeds every
-    pair, so the stack is touched once.
+    pair, each column's own terms are computed once, and all pairs are
+    scored in one batched call.
     """
     n, r, c = stack.values.shape
     if n < 4:
@@ -351,42 +317,21 @@ def pairwise_cq_procedure(stack: DataStack, alpha: float = 0.05) -> PairwiseCqSu
     if c < 2:
         raise ValueError("pairwise scan needs at least 2 columns")
     flat = stack.values.transpose(2, 0, 1).reshape(c * n, r)
-    big = flat @ flat.T
-    big = np.tril(big) + np.tril(big, -1).T
-
-    def block(a: int, b: int) -> np.ndarray:
-        return big[a * n : (a + 1) * n, b * n : (b + 1) * n]
-
-    pairs = [(a, b) for a in range(c) for b in range(a + 1, c)]
-    raw = []
-    failed = []
-    for idx, (a, b) in enumerate(pairs):
-        res = _cq_from_grams(block(a, a), block(b, b), block(a, b), r, alpha)
-        if res.ok:
-            raw.append(res.p_value)
-        else:
-            raw.append(float("nan"))
-            failed.append(idx)
-    raw_arr = np.asarray(raw)
-    m = len(pairs)
-    adjusted = np.where(np.isnan(raw_arr), np.nan, np.minimum(1.0, raw_arr * m))
+    # block (a, b) of the column gram is big[a, :, b, :]
+    big = (flat @ flat.T).reshape(c, n, c, n)
+    cols = np.arange(c)
+    loc, var = _within(big[cols, :, cols, :])
+    ia, ib = np.triu_indices(c, 1)
+    results = _cq_results((loc[ia], var[ia]), (loc[ib], var[ib]), big[ia, :, ib, :], r, alpha)
+    raw = np.array([res.p_value for res in results])
+    adjusted = np.minimum(1.0, raw * len(results))  # NaN where a pair failed
     valid = ~np.isnan(adjusted)
-    if not valid.any():
-        return PairwiseCqSummary(
-            pairs=tuple(pairs),
-            p_values=tuple(raw_arr.tolist()),
-            adjusted=tuple(adjusted.tolist()),
-            alpha=alpha,
-            reject=None,
-            failed_pairs=tuple(failed),
-            failure="every pair test failed",
-        )
-    reject = bool((adjusted[valid] < alpha).any())
     return PairwiseCqSummary(
-        pairs=tuple(pairs),
-        p_values=tuple(raw_arr.tolist()),
+        pairs=tuple(zip(ia.tolist(), ib.tolist())),
+        p_values=tuple(raw.tolist()),
         adjusted=tuple(adjusted.tolist()),
         alpha=alpha,
-        reject=reject,
-        failed_pairs=tuple(failed),
+        reject=bool((adjusted[valid] < alpha).any()) if valid.any() else None,
+        failed_pairs=tuple(k for k, res in enumerate(results) if not res.ok),
+        failure=None if valid.any() else "every pair test failed",
     )

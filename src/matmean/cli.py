@@ -21,7 +21,13 @@ import numpy as np
 
 from .baselines import PValueVector, adjust_pvalues
 from .core import DataStack, GroupPartition
-from .engine import mean_matrix_test, test_known_difference, test_known_matrix
+from .engine import (
+    discover_structure,
+    mean_matrix_test,
+    screen_row_sets,
+    test_known_difference,
+    test_known_matrix,
+)
 from .io import LoadedStack, load_stack, read_matrix_file, read_vector_file, read_row_sets
 from .presets import DEFAULT_REPLICATES, PRESET_NAMES, build_preset, parse_cell_filter
 from .simulate import SimConfig, monte_carlo
@@ -276,33 +282,29 @@ def cmd_screen(args) -> int:
         else:
             tested.append((name, [row_index[rid] for rid in ids]))
 
-    warnings: list[str] = []
-    entries = []
-    ok_positions = []
-    ok_pvalues = []
-    for name, indices in tested:
-        result = mean_matrix_test(stack.take_rows(indices), partition, alpha=args.alpha)
-        entry = {
+    # with every set skipped nothing is tested, so nothing can raise
+    results = screen_row_sets(
+        stack, partition, [rows for _, rows in tested], alpha=args.alpha
+    ) if tested else []
+    ok = [k for k, result in enumerate(results) if result.ok]
+    adjusted = {}
+    if ok:
+        raw = PValueVector(np.array([results[k].p_value for k in ok]), method="raw")
+        adjusted = dict(zip(ok, adjust_pvalues(raw, method=args.correction).values.tolist()))
+    entries = [
+        {
             "name": name,
             "n_rows": len(indices),
             "statistic": result.statistic,
             "p_value": result.p_value,
-            "p_adjusted": None,
-            "reject": None,
+            "p_adjusted": adjusted.get(k),
+            "reject": adjusted[k] < args.alpha if k in adjusted else None,
             "failure": result.failure,
         }
-        if result.failure is None:
-            ok_positions.append(len(entries))
-            ok_pvalues.append(result.p_value)
-        entries.append(entry)
-
-    if ok_pvalues:
-        raw = PValueVector(np.array(ok_pvalues), method="raw")
-        adjusted = adjust_pvalues(raw, method=args.correction).values
-        for pos, adj in zip(ok_positions, adjusted):
-            entries[pos]["p_adjusted"] = float(adj)
-            entries[pos]["reject"] = bool(adj < args.alpha)
-    n_failed = sum(1 for e in entries if e["failure"] is not None)
+        for k, ((name, indices), result) in enumerate(zip(tested, results))
+    ]
+    warnings: list[str] = []
+    n_failed = len(results) - len(ok)
     if n_failed:
         warnings.append(f"{n_failed} set(s) failed and were excluded from adjustment")
     if skipped:
@@ -325,7 +327,7 @@ def cmd_screen(args) -> int:
             lines.append(",".join(_csv_cell(_jsonable(e[k])) for k in keys))
         _write_text(args.csv, "\n".join(lines) + "\n")
 
-    if not ok_pvalues:
+    if not ok:
         sys.stderr.write("error: no row set produced a usable test result\n")
         return 1
     return 0
@@ -333,98 +335,6 @@ def cmd_screen(args) -> int:
 
 # ---------------------------------------------------------------------------
 # discover
-
-
-def _pair_partition(c: int, i: int, j: int) -> GroupPartition:
-    labels = list(range(c))
-    labels[j] = labels[i]
-    return GroupPartition.from_labels(labels)
-
-
-def _merge_groups(c: int, merge_pairs: list[tuple[int, int]]) -> GroupPartition:
-    parent = list(range(c))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in merge_pairs:
-        parent[find(i)] = find(j)
-    return GroupPartition.from_labels([find(k) for k in range(c)])
-
-
-def discover_structure(stack: DataStack, alpha: float = 0.05) -> dict:
-    """Sequential column-structure search; returns the full decision trace.
-
-    Step one tests the single-group hypothesis (no column effect); if it is
-    not rejected the search stops.  Otherwise every column pair is tested
-    with the rest left as singletons, the pairwise p-values are adjusted
-    (FDR drives the decisions; Bonferroni is reported alongside), and pairs
-    that are *not* significantly different are merged by transitive closure
-    into the final grouping, which is then tested as a whole.
-    """
-    c = stack.n_cols
-    overall = mean_matrix_test(stack, GroupPartition.from_sizes((c,)), alpha=alpha)
-    trace: dict = {
-        "overall": overall.to_dict(),
-        "pairs": None,
-        "grouping": None,
-        "final": None,
-        "conclusion": None,
-    }
-    if overall.failure:
-        return trace
-    if not overall.reject:
-        trace["conclusion"] = "column-independent mean"
-        return trace
-
-    all_pairs = [(i, j) for i in range(c) for j in range(i + 1, c)]
-    entries = []
-    ok_positions = []
-    ok_pvalues = []
-    for i, j in all_pairs:
-        result = mean_matrix_test(stack, _pair_partition(c, i, j), alpha=alpha)
-        entry = {
-            "cols": [i, j],
-            "p_value": result.p_value,
-            "p_fdr": None,
-            "p_bonferroni": None,
-            "failure": result.failure,
-        }
-        if result.failure is None:
-            ok_positions.append(len(entries))
-            ok_pvalues.append(result.p_value)
-        entries.append(entry)
-    if ok_pvalues:
-        p = np.array(ok_pvalues)
-        fdr = adjust_pvalues(PValueVector(p, method="raw"), method="fdr").values
-        # The family is every attempted pair, including failed ones.
-        bon = np.minimum(p * len(all_pairs), 1.0)
-        for pos, pf, pb in zip(ok_positions, fdr, bon):
-            entries[pos]["p_fdr"] = float(pf)
-            entries[pos]["p_bonferroni"] = float(pb)
-    trace["pairs"] = entries
-
-    # Merge exactly the pairs whose FDR-adjusted p-value fails to reject;
-    # failed pairs never merge (no evidence either way).
-    merge_pairs = [
-        tuple(e["cols"]) for e in entries
-        if e["failure"] is None and e["p_fdr"] >= alpha
-    ]
-    if not merge_pairs:
-        trace["conclusion"] = "unstructured"
-        return trace
-    grouping = _merge_groups(c, merge_pairs)
-    trace["grouping"] = {
-        "assignment": list(grouping.assignment),
-        "sizes": list(grouping.sizes),
-        "n_groups": grouping.n_groups,
-    }
-    trace["final"] = mean_matrix_test(stack, grouping, alpha=alpha).to_dict()
-    trace["conclusion"] = "grouped columns"
-    return trace
 
 
 def cmd_discover(args) -> int:

@@ -10,6 +10,7 @@ hypothesis exactly when the projected mean is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,43 +100,62 @@ class GroupPartition:
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
-    """Symmetric idempotent c x c matrix that centers columns within groups."""
+    """Centering of columns within groups: P = I minus group averaging.
 
-    values: np.ndarray = field(repr=False)
+    P is symmetric and idempotent.  ``apply`` multiplies by it without
+    forming it; ``values`` is the explicit c x c matrix, built on first
+    use for the closed-form diagnostics that need it.
+    """
+
     partition: GroupPartition
 
     @property
     def n_cols(self) -> int:
-        return self.values.shape[0]
+        return self.partition.n_cols
 
     @property
     def rank(self) -> int:
         """c minus the number of groups (trace of an exact projection)."""
         return self.partition.n_cols - self.partition.n_groups
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Entry (a, b) is delta_ab minus 1/c_k when a and b share group k."""
+        p = self.apply(np.eye(self.n_cols))
+        p.setflags(write=False)
+        return p
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``x @ values`` for x of shape (..., c), at O(x.size) cost.
+
+        Subtracts from every column the mean of its group's columns,
+        along the last axis.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1] != self.n_cols:
+            raise ValueError(
+                f"last axis has length {x.shape[-1]}, projection expects {self.n_cols}"
+            )
+        sizes = self.partition.sizes
+        labels = np.asarray(self.partition.assignment) - 1
+        order = np.argsort(labels, kind="stable")
+        starts = np.cumsum((0,) + sizes[:-1])
+        means = np.add.reduceat(x[..., order], starts, axis=-1) / sizes
+        return x - means[..., labels]
+
 
 def build_projection(partition: GroupPartition) -> ProjectionMatrix:
     """Projection onto within-group column contrasts.
 
-    Entry (a, b) is delta_ab minus 1/c_k when a and b share group k,
-    and delta_ab otherwise.  Requires at least one group of size >= 2,
-    since an all-singleton grouping leaves nothing to test.
+    Requires at least one group of size >= 2, since an all-singleton
+    grouping leaves nothing to test.
     """
     if partition.max_group_size < 2:
         raise ValueError(
             "partition needs at least one group of size >= 2; "
             "all groups are singletons"
         )
-    c = partition.n_cols
-    sizes = partition.sizes
-    p = np.eye(c)
-    for b1 in range(c):
-        k = partition.assignment[b1]
-        for b2 in range(c):
-            if partition.assignment[b2] == k:
-                p[b1, b2] -= 1.0 / sizes[k - 1]
-    p.setflags(write=False)
-    return ProjectionMatrix(values=p, partition=partition)
+    return ProjectionMatrix(partition)
 
 
 @dataclass(frozen=True)
@@ -199,7 +219,7 @@ def deviation(m: np.ndarray, projection: ProjectionMatrix) -> float:
             f"mean matrix shape {m.shape} does not match projection on "
             f"{projection.n_cols} columns"
         )
-    mp = m @ projection.values
+    mp = projection.apply(m)
     return float(np.sum(mp * mp))
 
 

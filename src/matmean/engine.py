@@ -9,13 +9,16 @@ standard normal when the grouped-mean hypothesis holds, with rejection
 for large positive values.
 
 All estimators work for any number of subjects N >= 4, with cost
-O(N^2 r c + N r c^2) per test; no per-row covariance estimation is
-involved, so r may vastly exceed N.
+O(N^2 r c) per test; no per-row covariance estimation is involved, so r
+may vastly exceed N.  The estimators accept a batch of grams, which is
+how row-set screening and the pairwise column search score all their
+tests in one call.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,8 @@ __all__ = [
     "mean_matrix_test",
     "test_known_matrix",
     "test_known_difference",
+    "screen_row_sets",
+    "discover_structure",
     "analytic_power",
     "trace_ratio_diagnostic",
 ]
@@ -98,35 +103,42 @@ class TestResult:
         }
 
 
+def _gram(y: np.ndarray) -> np.ndarray:
+    """N x N gram of the subjects along axis 0, each flattened to a vector.
+
+    ``y @ y.T`` on one buffer runs as a symmetric rank-k update, so the
+    result is exactly symmetric.
+    """
+    y = y.reshape(y.shape[0], -1)
+    return y @ y.T
+
+
 def compute_gram(stack: DataStack, projection: ProjectionMatrix) -> np.ndarray:
     """N x N gram matrix of the projected, vectorized subject data.
 
     Entry (i, j) is the Frobenius inner product of X_i P and X_j P,
-    which equals tr(X_i' X_j P) because P is idempotent.  Projecting
-    each subject once keeps the cost at O(N r c^2 + N^2 r c).
+    which equals tr(X_i' X_j P) because P is idempotent.  Centering
+    within groups applies P, so the cost is O(N^2 r c).
     """
-    if stack.n_cols != projection.n_cols:
-        raise ValueError(
-            f"stack has {stack.n_cols} columns, projection expects "
-            f"{projection.n_cols}"
-        )
-    xp = stack.values @ projection.values
-    y = xp.reshape(stack.n_subjects, -1)
-    g = y @ y.T
-    # enforce exact symmetry; BLAS output can differ in the last ulp
-    lower = np.tril(g)
-    return lower + np.tril(g, -1).T
+    return _gram(projection.apply(stack.values))
 
 
-def deviation_estimate(gram: np.ndarray) -> float:
+def _unbatched(values: np.ndarray, gram: np.ndarray):
+    """A plain float for a single gram, the array for a batch."""
+    return float(values) if gram.ndim == 2 else values
+
+
+def deviation_estimate(gram: np.ndarray):
     """Average off-diagonal gram entry over ordered pairs.
 
     Unbiased for the squared projected mean: diagonal entries are
-    excluded precisely because they carry the noise variance.
+    excluded precisely because they carry the noise variance.  Takes
+    one gram (a float comes back) or a batch of shape (..., N, N).
     """
+    gram = np.asarray(gram, dtype=float)
     n = _gram_size(gram, minimum=2)
-    off_sum = float(gram.sum() - np.trace(gram))
-    return off_sum / (n * (n - 1))
+    off_sum = gram.sum(axis=(-2, -1)) - np.trace(gram, axis1=-2, axis2=-1)
+    return _unbatched(off_sum / (n * (n - 1)), gram)
 
 
 def trace_cov_sq_naive(gram: np.ndarray) -> float:
@@ -151,84 +163,108 @@ def trace_cov_sq_naive(gram: np.ndarray) -> float:
     return term1 / d2 - 2.0 * term2 / d3 + term3 / d4
 
 
-def trace_cov_sq_fast(gram: np.ndarray) -> float:
+def trace_cov_sq_fast(gram: np.ndarray):
     """O(N^2) evaluation of the variance-scale estimator.
 
     With b the gram matrix with its diagonal zeroed, the three tuple
     sums reduce to S2, sum_i row_i^2 - S2, and S1^2 - 2 S2 - 4 P3,
     where S1 and S2 are the total sum and total squared sum of b and
-    P3 the middle quantity.
+    P3 the middle quantity.  Takes one gram (a float comes back) or a
+    batch of shape (..., N, N).
     """
     n = _gram_size(gram, minimum=MIN_SUBJECTS)
-    b = np.asarray(gram, dtype=float).copy()
-    np.fill_diagonal(b, 0.0)
-    s1 = float(b.sum())
-    s2 = float((b * b).sum())
-    rows = b.sum(axis=1)
-    p3 = float(rows @ rows) - s2
+    b = np.array(gram, dtype=float)
+    diag = np.arange(n)
+    b[..., diag, diag] = 0.0
+    s1 = b.sum(axis=(-2, -1))
+    s2 = (b * b).sum(axis=(-2, -1))
+    rows = b.sum(axis=-1)
+    p3 = (rows * rows).sum(axis=-1) - s2
     quad = s1 * s1 - 2.0 * s2 - 4.0 * p3
     d2 = n * (n - 1)
     d3 = d2 * (n - 2)
     d4 = d3 * (n - 3)
-    return s2 / d2 - 2.0 * p3 / d3 + quad / d4
+    return _unbatched(s2 / d2 - 2.0 * p3 / d3 + quad / d4, b)
 
 
 def _gram_size(gram: np.ndarray, minimum: int) -> int:
     gram = np.asarray(gram)
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+    if gram.ndim < 2 or gram.shape[-1] != gram.shape[-2]:
         raise ValueError(f"gram matrix must be square, got shape {gram.shape}")
-    n = gram.shape[0]
+    n = gram.shape[-1]
     if n < minimum:
         raise ValueError(f"need at least {minimum} subjects, got {n}")
     return n
 
 
-def _standardized_result(
-    y: np.ndarray,
-    alpha: float,
-    r_used: int,
-    c_used: int,
-    orientation: str,
-    dropped: tuple[int, ...] = (),
-) -> TestResult:
-    """Shared tail end of every test: gram, estimates, one-sided p."""
-    n = y.shape[0]
+def _standardize(
+    dev, tsq, var, r_used, alpha: float, nonpositive: str, **common
+) -> list[TestResult]:
+    """One-sided z-tests, z = dev / sqrt(var), for a batch of estimates.
+
+    ``tsq`` is the variance-scale estimate reported as ``trace_cov_sq``
+    and ``r_used`` may differ per test.  A non-finite estimate or a
+    nonpositive ``tsq`` or ``var`` gives a failure instead of a
+    statistic, so overflow never passes as a NaN that does not reject.
+    """
+    dev, tsq, var, r_used = np.broadcast_arrays(dev, tsq, var, r_used)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stat = dev / np.sqrt(var)
+    p_value = ndtr(-stat)
+    cut = z_quantile(alpha)
+    results = []
+    for d, t, v, z, p, r in zip(
+        *(a.ravel().tolist() for a in (dev, tsq, var, stat, p_value, r_used))
+    ):
+        finite = math.isfinite(d) and math.isfinite(t) and math.isfinite(v)
+        failure = None
+        if finite and (t <= 0.0 or v <= 0.0):
+            failure = f"unstable variance estimate (nonpositive {nonpositive})"
+        elif not (finite and math.isfinite(z)):
+            failure = "non-finite estimate (floating-point overflow)"
+        ok = failure is None
+        results.append(TestResult(
+            statistic=z if ok else math.nan, p_value=p if ok else math.nan,
+            deviation_est=d, trace_cov_sq=t, r_used=r, alpha=alpha,
+            reject=z >= cut if ok else None, failure=failure, **common,
+        ))
+    return results
+
+
+def _gram_results(grams: np.ndarray, alpha: float, r_used, **common) -> list[TestResult]:
+    """The test on each gram of a batch of shape (..., N, N)."""
+    n = grams.shape[-1]
     if n < MIN_SUBJECTS:
         raise ValueError(
             f"the variance estimator needs at least {MIN_SUBJECTS} subjects, got {n}"
         )
-    g = y @ y.T
-    gram = np.tril(g) + np.tril(g, -1).T
-    dev = deviation_estimate(gram)
-    tsq = trace_cov_sq_fast(gram)
-    common = dict(
-        n_used=n,
-        r_used=r_used,
-        c_used=c_used,
-        orientation=orientation,
-        alpha=alpha,
-        dropped_columns=dropped,
+    tsq = trace_cov_sq_fast(grams)
+    return _standardize(
+        deviation_estimate(grams), tsq, 2.0 * tsq / (n * (n - 1)), r_used, alpha,
+        "trace estimate", n_used=n, **common,
     )
-    if tsq <= 0.0:
-        return TestResult(
-            statistic=float("nan"),
-            p_value=float("nan"),
-            deviation_est=dev,
-            trace_cov_sq=tsq,
-            reject=None,
-            failure="unstable variance estimate (nonpositive trace estimate)",
-            **common,
+
+
+def _prepared(
+    stack: DataStack, partition: GroupPartition, orientation: str
+) -> tuple[DataStack, GroupPartition, tuple[int, ...]]:
+    """Stack in testing orientation, singleton-free partition, dropped columns."""
+    if orientation not in ("columns", "rows"):
+        raise ValueError(f"orientation must be 'columns' or 'rows', got {orientation!r}")
+    work = stack.transposed() if orientation == "rows" else stack
+    if partition.n_cols != work.n_cols:
+        raise ValueError(
+            f"partition covers {partition.n_cols} columns but the "
+            f"{orientation} dimension is {work.n_cols}"
         )
-    stat = dev / np.sqrt(2.0 * tsq / (n * (n - 1)))
-    p = float(ndtr(-stat))
-    return TestResult(
-        statistic=float(stat),
-        p_value=p,
-        deviation_est=dev,
-        trace_cov_sq=tsq,
-        reject=bool(stat >= z_quantile(alpha)),
-        **common,
-    )
+    if partition.max_group_size < 2:
+        raise ValueError(
+            "partition needs at least one group of size >= 2; "
+            "all groups are singletons"
+        )
+    dropped = partition.singleton_columns()
+    work, partition = drop_singletons(work, partition)
+    return work, partition, dropped
 
 
 def mean_matrix_test(
@@ -245,34 +281,37 @@ def mean_matrix_test(
     which case the partition must cover the r rows.
 
     Returns a TestResult; when the projected data are fully degenerate
-    (for example identical subjects with group-constant columns) the
-    result carries a ``failure`` message instead of a statistic.
+    (for example identical subjects with group-constant columns) or
+    the estimates overflow, the result carries a ``failure`` message
+    instead of a statistic.
     """
-    if orientation not in ("columns", "rows"):
-        raise ValueError(f"orientation must be 'columns' or 'rows', got {orientation!r}")
-    work = stack.transposed() if orientation == "rows" else stack
-    if partition.n_cols != work.n_cols:
-        raise ValueError(
-            f"partition covers {partition.n_cols} columns but the "
-            f"{orientation} dimension is {work.n_cols}"
-        )
-    if partition.max_group_size < 2:
-        raise ValueError(
-            "partition needs at least one group of size >= 2; "
-            "all groups are singletons"
-        )
-    dropped = partition.singleton_columns()
-    work, partition = drop_singletons(work, partition)
-    projection = build_projection(partition)
-    xp = work.values @ projection.values
-    y = xp.reshape(work.n_subjects, -1)
-    return _standardized_result(
-        y,
-        alpha,
-        r_used=work.n_rows,
-        c_used=work.n_cols,
-        orientation=orientation,
-        dropped=dropped,
+    work, partition, dropped = _prepared(stack, partition, orientation)
+    gram = compute_gram(work, build_projection(partition))
+    return _gram_results(
+        gram, alpha, r_used=work.n_rows, c_used=work.n_cols,
+        orientation=orientation, dropped_columns=dropped,
+    )[0]
+
+
+def screen_row_sets(
+    stack: DataStack,
+    partition: GroupPartition,
+    row_sets: list[list[int]],
+    alpha: float = 0.05,
+) -> list[TestResult]:
+    """``mean_matrix_test`` on the rows of each set, one result per set.
+
+    Centering acts within each row, so the stack is centered once and
+    every set's gram is formed from its rows of the centered data.
+    """
+    work, partition, dropped = _prepared(stack, partition, "columns")
+    y = build_projection(partition).apply(work.values)
+    grams = np.empty((len(row_sets), work.n_subjects, work.n_subjects))
+    for k, rows in enumerate(row_sets):
+        grams[k] = _gram(y[:, rows, :])
+    return _gram_results(
+        grams, alpha, r_used=[len(rows) for rows in row_sets], c_used=work.n_cols,
+        orientation="columns", dropped_columns=dropped,
     )
 
 
@@ -290,10 +329,31 @@ def test_known_matrix(stack: DataStack, m0: np.ndarray, alpha: float = 0.05) -> 
         )
     if not np.isfinite(m0).all():
         raise ValueError("m0 contains non-finite values")
-    y = (stack.values - m0).reshape(stack.n_subjects, -1)
-    return _standardized_result(
-        y, alpha, r_used=stack.n_rows, c_used=stack.n_cols, orientation="columns"
-    )
+    return _gram_results(
+        _gram(stack.values - m0), alpha, r_used=stack.n_rows, c_used=stack.n_cols,
+        orientation="columns",
+    )[0]
+
+
+def _pair_grams(x: np.ndarray) -> np.ndarray:
+    """Gram of each column pair a < b of an (N, r, c) array as one group.
+
+    Centering a pair leaves +-D/2 in its two columns, D = x_a - x_b, so
+    its gram is D D' / 2.  Forming D first avoids the cancellation that
+    expanding it through products of the columns would suffer.
+    Differences are taken against one column at a time, so the working
+    buffer never exceeds one copy of the data.
+    """
+    n, r, c = x.shape
+    cols = x.transpose(2, 0, 1)
+    grams = np.empty((c * (c - 1) // 2, n, n))
+    buf = np.empty((c - 1, n, r))
+    k = 0
+    for a in range(c - 1):
+        d = np.subtract(cols[a], cols[a + 1:], out=buf[: c - 1 - a])
+        np.matmul(d, d.transpose(0, 2, 1), out=grams[k : k + len(d)])
+        k += len(d)
+    return grams / 2.0
 
 
 def test_known_difference(
@@ -320,16 +380,97 @@ def test_known_difference(
         raise ValueError(f"mu0 must be a scalar or length-{stack.n_rows} vector")
     if not np.isfinite(mu0).all():
         raise ValueError("mu0 contains non-finite values")
-    pair = np.stack(
-        [stack.values[:, :, col_a] - mu0, stack.values[:, :, col_b]], axis=2
+    pair = np.stack([stack.values[:, :, col_a] - mu0, stack.values[:, :, col_b]], axis=2)
+    return _gram_results(
+        _pair_grams(pair), alpha, r_used=stack.n_rows, c_used=2, orientation="columns"
+    )[0]
+
+
+def _merge_groups(c: int, merge_pairs: list[tuple[int, int]]) -> GroupPartition:
+    parent = list(range(c))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in merge_pairs:
+        parent[find(i)] = find(j)
+    return GroupPartition.from_labels([find(k) for k in range(c)])
+
+
+def discover_structure(stack: DataStack, alpha: float = 0.05) -> dict:
+    """Sequential column-structure search; returns the full decision trace.
+
+    Step one tests the single-group hypothesis (no column effect); if it is
+    not rejected the search stops.  Otherwise every column pair is tested
+    with the rest left as singletons, the pairwise p-values are adjusted
+    (FDR drives the decisions; Bonferroni is reported alongside), and pairs
+    that are *not* significantly different are merged by transitive closure
+    into the final grouping, which is then tested as a whole.
+    """
+    # imported here because the baselines module imports this one
+    from .baselines import PValueVector, adjust_pvalues
+
+    c = stack.n_cols
+    overall = mean_matrix_test(stack, GroupPartition.from_sizes((c,)), alpha=alpha)
+    trace: dict = {
+        "overall": overall.to_dict(),
+        "pairs": None,
+        "grouping": None,
+        "final": None,
+        "conclusion": None,
+    }
+    if overall.failure:
+        return trace
+    if not overall.reject:
+        trace["conclusion"] = "column-independent mean"
+        return trace
+
+    all_pairs = list(itertools.combinations(range(c), 2))
+    results = _gram_results(
+        _pair_grams(stack.values), alpha, r_used=stack.n_rows, c_used=2,
+        orientation="columns",
     )
-    sub = DataStack(pair)
-    projection = build_projection(GroupPartition((1, 1)))
-    xp = sub.values @ projection.values
-    y = xp.reshape(sub.n_subjects, -1)
-    return _standardized_result(
-        y, alpha, r_used=stack.n_rows, c_used=2, orientation="columns"
-    )
+    ok = [k for k, result in enumerate(results) if result.ok]
+    p_fdr, p_bonferroni = {}, {}
+    if ok:
+        p = np.array([results[k].p_value for k in ok])
+        fdr = adjust_pvalues(PValueVector(p, method="raw"), method="fdr").values
+        p_fdr = dict(zip(ok, fdr.tolist()))
+        # The family is every attempted pair, including failed ones.
+        p_bonferroni = dict(zip(ok, np.minimum(p * len(all_pairs), 1.0).tolist()))
+    entries = [
+        {
+            "cols": [i, j],
+            "p_value": result.p_value,
+            "p_fdr": p_fdr.get(k),
+            "p_bonferroni": p_bonferroni.get(k),
+            "failure": result.failure,
+        }
+        for k, ((i, j), result) in enumerate(zip(all_pairs, results))
+    ]
+    trace["pairs"] = entries
+
+    # Merge exactly the pairs whose FDR-adjusted p-value fails to reject;
+    # failed pairs never merge (no evidence either way).
+    merge_pairs = [
+        tuple(e["cols"]) for e in entries
+        if e["failure"] is None and e["p_fdr"] >= alpha
+    ]
+    if not merge_pairs:
+        trace["conclusion"] = "unstructured"
+        return trace
+    grouping = _merge_groups(c, merge_pairs)
+    trace["grouping"] = {
+        "assignment": list(grouping.assignment),
+        "sizes": list(grouping.sizes),
+        "n_groups": grouping.n_groups,
+    }
+    trace["final"] = mean_matrix_test(stack, grouping, alpha=alpha).to_dict()
+    trace["conclusion"] = "grouped columns"
+    return trace
 
 
 def _materialize_sigma(sigma, r: int, c: int) -> np.ndarray:
@@ -387,7 +528,7 @@ def analytic_power(
         if tr2 <= 0.0:
             raise ValueError("degenerate covariance: tr(Omega^2) is zero")
         return float(ndtr(-z_quantile(alpha) + n_subjects * dev / np.sqrt(2.0 * tr2)))
-    mp_vec = (m @ projection.values).ravel(order="F")
+    mp_vec = projection.apply(m).ravel(order="F")
     quad = float(mp_vec @ sig @ mp_vec)
     if quad <= 0.0:
         raise ValueError(

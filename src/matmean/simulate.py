@@ -40,7 +40,6 @@ __all__ = [
     "sqrt_factor",
     "gen_noise",
     "gen_stack",
-    "calibrate_mean",
     "mean_from_dict",
     "replicate_rng",
     "monte_carlo",
@@ -73,17 +72,6 @@ class NoiseScenario:
     @classmethod
     def from_tag(cls, tag: str) -> "NoiseScenario":
         return cls(str(tag).strip().lower())
-
-    def kurtosis_profile(self, n_rows: int) -> np.ndarray:
-        """Per-row excess kurtosis of the raw entries (diagnostic only)."""
-        gamma_excess = 6.0 / _GAMMA_SHAPE
-        if self.tag == "normal":
-            return np.zeros(n_rows)
-        if self.tag == "gamma":
-            return np.full(n_rows, gamma_excess)
-        out = np.full(n_rows, gamma_excess)
-        out[: n_rows // 2] = 0.0
-        return out
 
 
 def _noise_batch(scenario: NoiseScenario, n: int, r: int, c: int, rng) -> np.ndarray:
@@ -278,11 +266,6 @@ class MultiplicativeMean:
 
     def to_dict(self) -> dict:
         return {"kind": "multiplicative", "t": self.t, "base": self.base}
-
-
-def calibrate_mean(spec, r: int, c: int, sigma) -> np.ndarray:
-    """Mean matrix for a spec at the given shape, calibrated exactly."""
-    return spec.build(r, c, sigma)
 
 
 def mean_from_dict(d: dict):
@@ -496,7 +479,7 @@ def gen_stack(config: SimConfig, rng, *, root=None, mean=None) -> DataStack:
     if root is None:
         root = sqrt_factor(config.covariance, r, c)
     if mean is None:
-        mean = calibrate_mean(config.mean, r, c, config.covariance)
+        mean = config.mean.build(r, c, config.covariance)
     z = _noise_batch(config.scenario, config.n_subjects, r, c, rng)
     return DataStack(root.apply(z) + mean)
 
@@ -533,7 +516,7 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
             raise ValueError("proposed and cq methods need at least 4 subjects")
 
     root = sqrt_factor(config.covariance, r, c)
-    mean = calibrate_mean(config.mean, r, c, config.covariance)
+    mean = config.mean.build(r, c, config.covariance)
     per_column = GroupPartition(tuple(range(1, c + 1)))
     names = config.outcome_names()
     # slots: +1 reject, 0 accept, -1 error; one row per outcome column

@@ -198,6 +198,17 @@ def test_chen_qin_detects_mean_shift():
     assert res.ok  # usable result on null data
 
 
+def test_chen_qin_overflow_reports_failure():
+    # squared cross-gram entries overflow: a failure, never a NaN result
+    rng = np.random.default_rng(64)
+    res = chen_qin_two_sample(rng.standard_normal((6, 5)) * 1e160,
+                              rng.standard_normal((6, 5)) * 1e160)
+    assert not res.ok and "non-finite" in res.failure
+    assert np.isnan(res.statistic) and res.reject is None
+    summary = pairwise_cq_procedure(DataStack(rng.standard_normal((6, 5, 3)) * 1e160))
+    assert summary.failed_pairs == (0, 1, 2) and summary.reject is None
+
+
 def test_chen_qin_input_validation():
     rng = np.random.default_rng(60)
     with pytest.raises(ValueError):
@@ -215,8 +226,9 @@ def test_pairwise_cq_pairs_and_adjustment():
     for p_raw, p_adj in zip(summary.p_values, summary.adjusted):
         assert p_adj == pytest.approx(min(1.0, p_raw * 3), rel=1e-12)
     # each pair test equals the two-sample test on those column slices
-    direct = chen_qin_two_sample(stack.values[:, :, 0], stack.values[:, :, 1])
-    assert summary.p_values[0] == pytest.approx(direct.p_value, rel=1e-10)
+    for (a, b), p_raw in zip(summary.pairs, summary.p_values):
+        direct = chen_qin_two_sample(stack.values[:, :, a], stack.values[:, :, b])
+        assert p_raw == pytest.approx(direct.p_value, rel=1e-10)
     assert summary.reject == any(a < summary.alpha for a in summary.adjusted)
 
 

@@ -2,15 +2,20 @@
 
 import importlib.resources as resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from matmean.cli import discover_structure, main, parse_partition_spec, CliError
+from matmean import discover_structure, mean_matrix_test
+from matmean.cli import main, parse_partition_spec, CliError
 from matmean.core import DataStack
 from matmean.covariance import IdentityCovariance
-from matmean.io import write_stack_file
+from matmean.io import load_stack, write_stack_file
 from matmean.simulate import NoiseScenario, SimConfig, ZeroMean
 from matmean.core import GroupPartition
 
@@ -356,6 +361,13 @@ def test_screen_min_set_size_override(tmp_path, capsys):
     assert code == 0
     assert {e["name"] for e in report["sets"]} == {"big", "quiet", "tiny"}
     assert report["skipped"] == []
+    # each set's statistic is the test on that set's rows alone
+    stack = load_stack(str(data)).stack
+    rows = {"big": range(20), "quiet": range(20, 30), "tiny": range(3)}
+    for e in report["sets"]:
+        direct = mean_matrix_test(stack.take_rows(rows[e["name"]]),
+                                  GroupPartition.from_sizes((3, 3)))
+        assert e["statistic"] == pytest.approx(direct.statistic, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -529,3 +541,27 @@ def test_simulate_csv_identical_across_worker_counts(tmp_path, capsys):
         texts.append(out.read_text())
     assert texts[0] == texts[1]
     assert len(texts[0].splitlines()) == 4  # header plus three partition runs
+
+
+# ---------------------------------------------------------------------------
+# benchmark tracer
+
+
+def test_perfbench_tracer_runs_a_command(tmp_path):
+    # the tracer wraps package functions by name; a renamed or removed one
+    # must fail here rather than in every traced benchmark command
+    root = Path(__file__).resolve().parents[1]
+    data = tmp_path / "tiny.txt"
+    write_stack_file(str(data), DataStack(np.random.default_rng(3).standard_normal((4, 3, 4))))
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), "--",
+         "test", str(data), "--partition", "sizes=2,2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(spans.read_text())["spans"]

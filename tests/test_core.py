@@ -95,6 +95,9 @@ def test_projection_conjugation_under_column_permutation():
     p_orig = build_projection(part).values
     p_perm = build_projection(permuted).values
     assert np.allclose(p_perm, q @ p_orig @ q.T, atol=1e-12)
+    # centering within the scattered groups is the product with P
+    x = rng.standard_normal((3, 4, 7))
+    assert np.allclose(build_projection(permuted).apply(x), x @ p_perm, atol=1e-12)
 
 
 def test_deviation_elementwise_oracle():

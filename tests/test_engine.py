@@ -7,6 +7,7 @@ from matmean.engine import (
     MIN_SUBJECTS,
     compute_gram,
     deviation_estimate,
+    discover_structure,
     mean_matrix_test,
     analytic_power,
     trace_cov_sq_fast,
@@ -53,22 +54,25 @@ def test_z_quantile():
 
 def test_gram_matches_definition():
     rng = np.random.default_rng(31)
-    part = GroupPartition.from_sizes((3, 2))
-    proj = build_projection(part)
-    stack = _random_stack(rng, 5, 4, 5)
-    g = compute_gram(stack, proj)
-    expected = np.empty((5, 5))
-    for i in range(5):
-        for j in range(5):
-            expected[i, j] = np.trace(stack.values[i].T @ stack.values[j] @ proj.values)
-    assert np.allclose(g, expected, rtol=1e-10)
-    assert np.array_equal(g, g.T), "gram must be exactly symmetric"
+    for n, r, labels in [(5, 4, (1, 1, 1, 2, 2)), (12, 300, (1, 2, 1, 3, 2, 3, 1)),
+                         (7, 1, (1, 1))]:
+        proj = build_projection(GroupPartition(labels))
+        stack = _random_stack(rng, n, r, len(labels))
+        g = compute_gram(stack, proj)
+        expected = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                expected[i, j] = np.trace(stack.values[i].T @ stack.values[j] @ proj.values)
+        assert np.allclose(g, expected, rtol=1e-10)
+        assert np.array_equal(g, g.T), "gram must be exactly symmetric"
 
 
 def test_deviation_estimate_hand_oracle():
     g = np.array([[9.0, 1.0, 2.0], [1.0, 9.0, 3.0], [2.0, 3.0, 9.0]])
     # off-diagonal sum 12, divided by 3*2
     assert deviation_estimate(g) == pytest.approx(2.0, rel=1e-14)
+    batch = np.stack([[g, 2.0 * g], [-g, 0.5 * g]])
+    assert np.array_equal(deviation_estimate(batch), [[2.0, 4.0], [-2.0, 1.0]])
 
 
 def test_trace_cov_sq_naive_matches_brute_force():
@@ -87,6 +91,13 @@ def test_trace_cov_sq_fast_matches_naive():
         fast = trace_cov_sq_fast(g)
         naive = trace_cov_sq_naive(g)
         assert fast == pytest.approx(naive, rel=1e-11)
+    # a batch of shape (..., N, N) gives each slice's own value, exactly
+    a = rng.standard_normal((2, 3, 7, 7))
+    batch = (a + a.swapaxes(-1, -2)) / 2
+    fast = trace_cov_sq_fast(batch)
+    assert fast.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert fast[idx] == trace_cov_sq_fast(batch[idx])
 
 
 def test_trace_cov_sq_requires_four_subjects():
@@ -174,13 +185,20 @@ def test_partition_must_cover_columns():
 
 
 def test_degenerate_data_reports_failure():
-    one = np.arange(12.0).reshape(3, 4)
-    stack = DataStack(np.stack([one] * 4))
-    res = mean_matrix_test(stack, GroupPartition.from_sizes((2, 2)))
-    assert not res.ok
-    assert res.failure is not None and "unstable variance" in res.failure
-    assert np.isnan(res.statistic) and np.isnan(res.p_value)
-    assert res.reject is None
+    identical = DataStack(np.stack([np.arange(12.0).reshape(3, 4)] * 4))
+    huge = DataStack(np.random.default_rng(49).standard_normal((8, 6, 4)) * 1e100)
+    part = GroupPartition.from_sizes((2, 2))
+    for res, message in [
+        # identical subjects: every gram entry alike, zero variance
+        (mean_matrix_test(identical, part), "unstable variance"),
+        # squared gram entries overflow: no NaN statistic may pass as a result
+        (mean_matrix_test(huge, part), "non-finite"),
+        (known_matrix_test(huge, np.zeros((6, 4))), "non-finite"),
+    ]:
+        assert not res.ok
+        assert res.failure is not None and message in res.failure
+        assert np.isnan(res.statistic) and np.isnan(res.p_value)
+        assert res.reject is None
 
 
 def test_known_matrix_shift_invariance():
@@ -303,3 +321,22 @@ def test_trace_ratio_matches_dense_computation():
     om2 = omega @ omega
     expected = np.trace(om2 @ om2) / np.trace(om2) ** 2
     assert trace_ratio_diagnostic(sigma, proj, n_rows=r) == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e4])
+def test_discover_pairs_equal_pair_partition_tests(shift):
+    # each pair test of the search is the test of that pair as one group,
+    # and a common shift, which every pair hypothesis allows, moves none
+    rng = np.random.default_rng(48)
+    v = rng.standard_normal((10, 30, 5))
+    v[:, :, 3:] += 0.6
+    trace = discover_structure(DataStack(v + shift))
+    assert len(trace["pairs"]) == 10
+    for entry in trace["pairs"]:
+        i, j = entry["cols"]
+        labels = list(range(5))
+        labels[j] = i
+        direct = mean_matrix_test(DataStack(v), GroupPartition.from_labels(labels))
+        assert entry["p_value"] == pytest.approx(
+            direct.p_value, rel=1e-12 if shift == 0.0 else 1e-9
+        )

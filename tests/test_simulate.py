@@ -23,7 +23,6 @@ from matmean.simulate import (
     SimConfig,
     SparseMean,
     ZeroMean,
-    calibrate_mean,
     gen_noise,
     gen_stack,
     mean_from_dict,
@@ -304,7 +303,7 @@ def test_calibrate_mean_dispatch_and_dict_round_trip():
         MultiplicativeMean(1.15),
     ]
     for spec in specs:
-        m = calibrate_mean(spec, 20, 10, None)
+        m = spec.build(20, 10, None)
         assert m.shape == (20, 10)
         assert mean_from_dict(spec.to_dict()) == spec
     with pytest.raises(ValueError):
@@ -334,7 +333,7 @@ def _config(**kw):
 
 def test_gen_stack_identity_equals_noise_plus_mean():
     cfg = _config(mean=RightBlockMean(zero_cols=2, effect_cols=2, target=0.2))
-    m = calibrate_mean(cfg.mean, 12, 4, cfg.covariance)
+    m = cfg.mean.build(12, 4, cfg.covariance)
     stack = gen_stack(cfg, np.random.default_rng(81))
     rng = np.random.default_rng(81)
     z = np.stack([gen_noise(cfg.scenario, 12, 4, rng) for _ in range(8)])
@@ -344,7 +343,7 @@ def test_gen_stack_identity_equals_noise_plus_mean():
 def test_gen_stack_mean_recovery():
     mean_spec = RightBlockMean(zero_cols=2, effect_cols=2, target=1.0)
     cfg = _config(mean=mean_spec, covariance=CompoundCovariance(rho=0.2))
-    m = calibrate_mean(mean_spec, 12, 4, cfg.covariance)
+    m = mean_spec.build(12, 4, cfg.covariance)
     rng = np.random.default_rng(82)
     total = np.zeros((12, 4))
     reps = 400
