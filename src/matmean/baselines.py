@@ -324,7 +324,7 @@ def pairwise_cq_procedure(stack: DataStack, alpha: float = 0.05) -> PairwiseCqSu
     ia, ib = np.triu_indices(c, 1)
     results = _cq_results((loc[ia], var[ia]), (loc[ib], var[ib]), big[ia, :, ib, :], r, alpha)
     raw = np.array([res.p_value for res in results])
-    adjusted = np.minimum(1.0, raw * len(results))  # NaN where a pair failed
+    adjusted = _bonferroni(raw)  # NaN where a pair failed
     valid = ~np.isnan(adjusted)
     return PairwiseCqSummary(
         pairs=tuple(zip(ia.tolist(), ib.tolist())),

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .baselines import PValueVector, adjust_pvalues
-from .core import DataStack, GroupPartition
+from .core import GroupPartition
 from .engine import (
     discover_structure,
     mean_matrix_test,
@@ -30,13 +30,12 @@ from .engine import (
 )
 from .io import LoadedStack, load_stack, read_matrix_file, read_vector_file, read_row_sets
 from .presets import DEFAULT_REPLICATES, PRESET_NAMES, build_preset, parse_cell_filter
-from .simulate import SimConfig, monte_carlo
+from .simulate import RejectionReport, SimConfig, monte_carlo
 
 SCHEMA_VERSION = 1
 
 _PRESET_CSV_HEADER = (
-    "preset,scenario,r,c,N,zeros,kind,partition,method,"
-    "rejections,valid,errors,proportion,std_error"
+    "preset,scenario,r,c,N,zeros,kind,partition," + RejectionReport.CSV_HEADER
 )
 
 
@@ -184,13 +183,6 @@ def parse_partition_spec(text: str, unit_ids: tuple[str, ...]) -> GroupPartition
 # test
 
 
-def _oriented(loaded: LoadedStack, orientation: str) -> tuple[DataStack, tuple[str, ...]]:
-    """The stack in testing orientation plus the ids of its columns."""
-    if orientation == "rows":
-        return loaded.stack.transposed(), loaded.row_ids
-    return loaded.stack, loaded.col_ids
-
-
 def cmd_test(args) -> int:
     modes = [args.partition is not None, args.m0 is not None,
              args.known_difference is not None]
@@ -200,14 +192,23 @@ def cmd_test(args) -> int:
             "or --known-difference"
         )
     loaded = load_stack(args.data)
-    stack, unit_ids = _oriented(loaded, args.orientation)
+    rows = args.orientation == "rows"
+    # ids of the columns in testing orientation
+    unit_ids = loaded.row_ids if rows else loaded.col_ids
+    stack = loaded.stack
+    if rows and args.partition is None:
+        # mean_matrix_test transposes by itself; the known-mean tests
+        # take the stack in testing orientation
+        stack = stack.transposed()
     warnings: list[str] = []
     report = _envelope("test", args.alpha, warnings)
     report["data"] = _data_block(loaded, args.data, args.orientation)
 
     if args.partition is not None:
         partition = parse_partition_spec(args.partition, unit_ids)
-        result = mean_matrix_test(stack, partition, alpha=args.alpha)
+        result = mean_matrix_test(
+            stack, partition, alpha=args.alpha, orientation=args.orientation
+        )
         report["hypothesis"] = {"mode": "partition", "partition": _partition_block(partition)}
         if result.dropped_columns:
             warnings.append(
@@ -358,29 +359,19 @@ def cmd_discover(args) -> int:
 # simulate
 
 
-def _preset_csv_rows(cell, run, report) -> list[str]:
-    params = dict(cell.params)
+def _preset_coordinates(cell, run) -> tuple[str, ...]:
+    """The eight leading columns of a preset CSV row."""
     cfg = run.config
-    rows = []
-    for outcome in report.outcomes:
-        fields = (
-            cell.preset,
-            cfg.scenario.tag,
-            str(cfg.n_rows),
-            str(cfg.n_cols),
-            str(cfg.n_subjects),
-            params.get("zeros", ""),
-            run.kind,
-            run.partition_label,
-            outcome.method,
-            str(outcome.rejections),
-            str(outcome.valid),
-            str(outcome.errors),
-            repr(outcome.proportion),
-            repr(outcome.std_error),
-        )
-        rows.append(",".join(fields))
-    return rows
+    return (
+        cell.preset,
+        cfg.scenario.tag,
+        str(cfg.n_rows),
+        str(cfg.n_cols),
+        str(cfg.n_subjects),
+        dict(cell.params).get("zeros", ""),
+        run.kind,
+        run.partition_label,
+    )
 
 
 def cmd_simulate(args) -> int:
@@ -402,7 +393,7 @@ def cmd_simulate(args) -> int:
             runs = []
             for run in cell.runs:
                 rep = monte_carlo(run.config, workers=args.workers)
-                csv_lines.extend(_preset_csv_rows(cell, run, rep))
+                csv_lines.extend(rep.csv_rows(*_preset_coordinates(cell, run)))
                 runs.append({
                     "kind": run.kind,
                     "partition": run.partition_label,

@@ -196,15 +196,18 @@ class DataStack:
     def n_cols(self) -> int:
         return self.values.shape[2]
 
+    # __post_init__ copies what it is given into a fresh C-ordered
+    # buffer, so the three methods below pass their arrays uncopied
+
     def transposed(self) -> "DataStack":
         """Swap rows and columns of every subject matrix."""
-        return DataStack(self.values.transpose(0, 2, 1).copy())
+        return DataStack(self.values.transpose(0, 2, 1))
 
     def take_columns(self, cols: Sequence[int]) -> "DataStack":
-        return DataStack(self.values[:, :, list(cols)].copy())
+        return DataStack(self.values[:, :, list(cols)])
 
     def take_rows(self, rows: Sequence[int]) -> "DataStack":
-        return DataStack(self.values[:, list(rows), :].copy())
+        return DataStack(self.values[:, list(rows), :])
 
 
 def deviation(m: np.ndarray, projection: ProjectionMatrix) -> float:

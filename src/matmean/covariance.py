@@ -16,7 +16,6 @@ factor would induce a different sampling law.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -146,17 +145,12 @@ def factor_from_dict(d: dict):
 # covariance specs
 
 
-class _RootBase:
-    def apply(self, z: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-
-class _IdentityRoot(_RootBase):
+class _IdentityRoot:
     def apply(self, z):
         return z
 
 
-class _KroneckerRoot(_RootBase):
+class _KroneckerRoot:
     def __init__(self, row_root, col_root):
         self.row_root = row_root
         self.col_root = col_root
@@ -168,7 +162,7 @@ class _KroneckerRoot(_RootBase):
         return w @ self.col_root
 
 
-class _BlockRoot(_RootBase):
+class _BlockRoot:
     def __init__(self, offsets_roots, r, c):
         self.offsets_roots = offsets_roots
         self.r = r
@@ -184,17 +178,7 @@ class _BlockRoot(_RootBase):
         return _unvec(out, self.r, self.c)
 
 
-class _DenseRoot(_RootBase):
-    def __init__(self, root, r, c):
-        self.root = root
-        self.r = r
-        self.c = c
-
-    def apply(self, z):
-        return _unvec(_vec(z) @ self.root, self.r, self.c)
-
-
-class _CompoundRoot(_RootBase):
+class _CompoundRoot:
     """Root of (1-rho) I + rho J in closed form: a I + b J."""
 
     def __init__(self, rho, r, c):
@@ -221,7 +205,7 @@ class IdentityCovariance:
         _guard_dense(r * c)
         return np.eye(r * c)
 
-    def root(self, r: int, c: int) -> _RootBase:
+    def root(self, r: int, c: int) -> _IdentityRoot:
         return _IdentityRoot()
 
     def to_dict(self) -> dict:
@@ -247,7 +231,7 @@ class KroneckerCovariance:
         _guard_dense(r * c)
         return np.kron(self.col.build(), self.row.build())
 
-    def root(self, r: int, c: int) -> _RootBase:
+    def root(self, r: int, c: int) -> _KroneckerRoot:
         self.check_dims(r, c)
         return _KroneckerRoot(
             _spd_root(self.row.build(), "row factor"),
@@ -290,7 +274,7 @@ class BlockDiagonalCovariance:
             off += d
         return out
 
-    def root(self, r: int, c: int) -> _RootBase:
+    def root(self, r: int, c: int) -> _BlockRoot:
         self.check_dims(r, c)
         offsets_roots = []
         off = 0
@@ -333,9 +317,10 @@ class DenseCovariance:
         self.check_dims(r, c)
         return self.values
 
-    def root(self, r: int, c: int) -> _RootBase:
+    def root(self, r: int, c: int) -> _BlockRoot:
         self.check_dims(r, c)
-        return _DenseRoot(_spd_root(self.values, "covariance"), r, c)
+        # one block spanning all of vec(X)
+        return _BlockRoot([(0, _spd_root(self.values, "covariance"))], r, c)
 
     def to_dict(self) -> dict:
         return {"kind": "dense", "values": self.values.tolist()}
@@ -365,7 +350,7 @@ class CompoundCovariance:
         d = r * c
         return (1.0 - self.rho) * np.eye(d) + self.rho * np.ones((d, d))
 
-    def root(self, r: int, c: int) -> _RootBase:
+    def root(self, r: int, c: int) -> _CompoundRoot:
         self.check_dims(r, c)
         return _CompoundRoot(self.rho, r, c)
 
@@ -381,11 +366,11 @@ def _guard_dense(dim: int) -> None:
         )
 
 
-def sqrt_factor(spec, r: int, c: int) -> _RootBase:
+def sqrt_factor(spec, r: int, c: int):
     """Sampling root of a covariance spec.
 
-    The returned object maps an (n, r, c) stack of iid unit-variance
-    noise to a stack with covariance ``spec`` on each vec(X).
+    The returned object's ``apply`` maps an (n, r, c) stack of iid
+    unit-variance noise to a stack with covariance ``spec`` on each vec(X).
     """
     return spec.root(r, c)
 

@@ -411,7 +411,7 @@ def discover_structure(stack: DataStack, alpha: float = 0.05) -> dict:
     into the final grouping, which is then tested as a whole.
     """
     # imported here because the baselines module imports this one
-    from .baselines import PValueVector, adjust_pvalues
+    from .baselines import PValueVector, _bonferroni, adjust_pvalues
 
     c = stack.n_cols
     overall = mean_matrix_test(stack, GroupPartition.from_sizes((c,)), alpha=alpha)
@@ -440,7 +440,7 @@ def discover_structure(stack: DataStack, alpha: float = 0.05) -> dict:
         fdr = adjust_pvalues(PValueVector(p, method="raw"), method="fdr").values
         p_fdr = dict(zip(ok, fdr.tolist()))
         # The family is every attempted pair, including failed ones.
-        p_bonferroni = dict(zip(ok, np.minimum(p * len(all_pairs), 1.0).tolist()))
+        p_bonferroni = dict(zip(ok, _bonferroni(p, len(all_pairs)).tolist()))
     entries = [
         {
             "cols": [i, j],
@@ -484,6 +484,18 @@ def _materialize_sigma(sigma, r: int, c: int) -> np.ndarray:
     return sig
 
 
+def _projected_covariance(
+    sig: np.ndarray, projection: ProjectionMatrix, r: int
+) -> tuple[np.ndarray, float]:
+    """Omega = (P (x) I_r) Sigma (P (x) I_r) and its positive tr(Omega^2)."""
+    k = np.kron(projection.values, np.eye(r))
+    omega = k @ sig @ k
+    tr2 = float((omega * omega).sum())
+    if tr2 <= 0.0:
+        raise ValueError("degenerate covariance: tr(Omega^2) is zero")
+    return omega, tr2
+
+
 def analytic_power(
     m: np.ndarray,
     projection: ProjectionMatrix,
@@ -522,11 +534,7 @@ def analytic_power(
     sig = _materialize_sigma(sigma, r, c)
     dev = deviation(m, projection)
     if regime == "weak_signal":
-        k = np.kron(projection.values, np.eye(r))
-        omega = k @ sig @ k
-        tr2 = float((omega * omega).sum())
-        if tr2 <= 0.0:
-            raise ValueError("degenerate covariance: tr(Omega^2) is zero")
+        _, tr2 = _projected_covariance(sig, projection, r)
         return float(ndtr(-z_quantile(alpha) + n_subjects * dev / np.sqrt(2.0 * tr2)))
     mp_vec = projection.apply(m).ravel(order="F")
     quad = float(mp_vec @ sig @ mp_vec)
@@ -544,13 +552,8 @@ def trace_ratio_diagnostic(sigma, projection: ProjectionMatrix, n_rows: int) -> 
     what the normal limit of the test statistic rests on.  Materializes
     the covariance, so r*c is capped.
     """
-    c = projection.n_cols
-    sig = _materialize_sigma(sigma, n_rows, c)
-    k = np.kron(projection.values, np.eye(n_rows))
-    omega = k @ sig @ k
-    tr2 = float((omega * omega).sum())
-    if tr2 <= 0.0:
-        raise ValueError("degenerate covariance: tr(Omega^2) is zero")
+    sig = _materialize_sigma(sigma, n_rows, projection.n_cols)
+    omega, tr2 = _projected_covariance(sig, projection, n_rows)
     om2 = omega @ omega
     tr4 = float((om2 * om2).sum())
     return tr4 / (tr2 * tr2)

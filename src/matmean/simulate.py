@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -75,17 +75,21 @@ class NoiseScenario:
 
 
 def _noise_batch(scenario: NoiseScenario, n: int, r: int, c: int, rng) -> np.ndarray:
-    if scenario.tag == "normal":
-        return rng.standard_normal((n, r, c))
-    if scenario.tag == "gamma":
-        raw = rng.gamma(_GAMMA_SHAPE, _GAMMA_SCALE, size=(n, r, c))
-        return (raw - _GAMMA_MEAN) / _GAMMA_SD
-    top = r // 2
+    # draw order is part of the determinism contract: the normal rows of
+    # every subject, then the gamma rows of every subject.  Drawing each
+    # subject's rows in turn into place uses the stream exactly as one
+    # (n, rows, c) draw would, and a zero-size draw leaves it untouched.
+    top = {"normal": r, "gamma": 0, "mixture": r // 2}[scenario.tag]
     z = np.empty((n, r, c))
-    # draw order is part of the determinism contract: normal rows first
-    z[:, :top, :] = rng.standard_normal((n, top, c))
-    raw = rng.gamma(_GAMMA_SHAPE, _GAMMA_SCALE, size=(n, r - top, c))
-    z[:, top:, :] = (raw - _GAMMA_MEAN) / _GAMMA_SD
+    for rows in z[:, :top]:
+        rng.standard_normal(out=rows)
+    for rows in z[:, top:]:
+        # gamma(shape, scale) is scale * standard_gamma(shape)
+        rng.standard_gamma(_GAMMA_SHAPE, out=rows)
+    tail = z[:, top:]
+    tail *= _GAMMA_SCALE
+    tail -= _GAMMA_MEAN
+    tail /= _GAMMA_SD
     return z
 
 
@@ -293,17 +297,49 @@ def mean_from_dict(d: dict):
 
 
 # ---------------------------------------------------------------------------
-# configs and reports
+# methods scored on every replicate
+#
+# A scorer takes (stack, config, per-column partition) and gives one
+# verdict per outcome column of its method: True (reject), False (accept)
+# or None (failed).  Scorers name the tests in their bodies, so the tests
+# are looked up as module globals at call time and a wrapper installed on
+# this module sees every call.
 
-_METHOD_NAMES = ("proposed", "anova", "kw", "cq")
 
-# each coarse method expands to the outcome columns it reports
-_METHOD_OUTCOMES = {
-    "proposed": ("proposed",),
-    "anova": ("anova_fdr", "anova_bon"),
-    "kw": ("kw_fdr", "kw_bon"),
-    "cq": ("cq_bon",),
+def _family_verdicts(raw, alpha: float) -> tuple:
+    """FDR then Bonferroni: reject iff the smallest adjusted p is below alpha."""
+    return tuple(
+        adjust_pvalues(raw, how).min_value < alpha for how in ("fdr", "bonferroni")
+    )
+
+
+def _score_proposed(stack, cfg, per_column) -> tuple:
+    return (mean_matrix_test(stack, cfg.partition, alpha=cfg.alpha).reject,)
+
+
+def _score_anova(stack, cfg, per_column) -> tuple:
+    return _family_verdicts(anova_rowwise(stack, per_column), cfg.alpha)
+
+
+def _score_kw(stack, cfg, per_column) -> tuple:
+    return _family_verdicts(kruskal_rowwise(stack, per_column), cfg.alpha)
+
+
+def _score_cq(stack, cfg, per_column) -> tuple:
+    return (pairwise_cq_procedure(stack, alpha=cfg.alpha).reject,)
+
+
+# each method: the outcome columns it reports and its scorer
+_METHODS = {
+    "proposed": (("proposed",), _score_proposed),
+    "anova": (("anova_fdr", "anova_bon"), _score_anova),
+    "kw": (("kw_fdr", "kw_bon"), _score_kw),
+    "cq": (("cq_bon",), _score_cq),
 }
+
+
+# ---------------------------------------------------------------------------
+# configs and reports
 
 
 @dataclass(frozen=True)
@@ -334,9 +370,9 @@ class SimConfig:
         methods = tuple(self.methods)
         if not methods:
             raise ValueError("at least one method is required")
-        unknown = [m for m in methods if m not in _METHOD_NAMES]
+        unknown = [m for m in methods if m not in _METHODS]
         if unknown:
-            raise ValueError(f"unknown methods {unknown}; valid: {_METHOD_NAMES}")
+            raise ValueError(f"unknown methods {unknown}; valid: {tuple(_METHODS)}")
         if len(set(methods)) != len(methods):
             raise ValueError("duplicate method names")
         object.__setattr__(self, "methods", methods)
@@ -347,10 +383,7 @@ class SimConfig:
         self.covariance.check_dims(self.n_rows, self.n_cols)
 
     def outcome_names(self) -> tuple[str, ...]:
-        out = []
-        for m in self.methods:
-            out.extend(_METHOD_OUTCOMES[m])
-        return tuple(out)
+        return tuple(name for m in self.methods for name in _METHODS[m][0])
 
     def to_dict(self) -> dict:
         return {
@@ -415,9 +448,6 @@ class MethodOutcome:
         }
 
 
-_REPORT_CSV_HEADER = "method,rejections,valid,errors,proportion,std_error"
-
-
 @dataclass(frozen=True)
 class RejectionReport:
     """Monte Carlo outcome: one rejection proportion per method column.
@@ -430,6 +460,8 @@ class RejectionReport:
     outcomes: tuple[MethodOutcome, ...]
     replicates: int
     elapsed_seconds: float
+
+    CSV_HEADER = "method,rejections,valid,errors,proportion,std_error"
 
     def outcome(self, method: str) -> MethodOutcome:
         for out in self.outcomes:
@@ -445,14 +477,13 @@ class RejectionReport:
             "outcomes": [out.to_dict() for out in self.outcomes],
         }
 
+    def csv_rows(self, *lead: str) -> list[str]:
+        """One line per outcome under ``CSV_HEADER``, led by the ``lead`` fields."""
+        # the columns are the outcome's own fields; str of a float is its repr
+        return [",".join((*lead, *map(str, out.to_dict().values()))) for out in self.outcomes]
+
     def to_csv(self) -> str:
-        lines = [_REPORT_CSV_HEADER]
-        for out in self.outcomes:
-            lines.append(
-                f"{out.method},{out.rejections},{out.valid},{out.errors},"
-                f"{out.proportion!r},{out.std_error!r}"
-            )
-        return "\n".join(lines) + "\n"
+        return "\n".join([self.CSV_HEADER, *self.csv_rows()]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -518,43 +549,20 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
     root = sqrt_factor(config.covariance, r, c)
     mean = config.mean.build(r, c, config.covariance)
     per_column = GroupPartition(tuple(range(1, c + 1)))
-    names = config.outcome_names()
-    # slots: +1 reject, 0 accept, -1 error; one row per outcome column
-    slots = {name: np.zeros(config.replicates, dtype=np.int8) for name in names}
-    alpha = config.alpha
+    # verdicts[k]: one verdict per outcome column on replicate k
+    verdicts: list = [None] * config.replicates
 
     def run_one(k: int) -> None:
         rng = replicate_rng(config.seed, k)
         stack = gen_stack(config, rng, root=root, mean=mean)
+        row = []
         for method in config.methods:
+            columns, score = _METHODS[method]
             try:
-                if method == "proposed":
-                    res = mean_matrix_test(stack, config.partition, alpha=alpha)
-                    slots["proposed"][k] = _verdict(res.reject if res.ok else None)
-                elif method == "anova":
-                    raw = anova_rowwise(stack, per_column)
-                    slots["anova_fdr"][k] = _verdict(
-                        adjust_pvalues(raw, "fdr").min_value < alpha
-                    )
-                    slots["anova_bon"][k] = _verdict(
-                        adjust_pvalues(raw, "bonferroni").min_value < alpha
-                    )
-                elif method == "kw":
-                    raw = kruskal_rowwise(stack, per_column)
-                    slots["kw_fdr"][k] = _verdict(
-                        adjust_pvalues(raw, "fdr").min_value < alpha
-                    )
-                    slots["kw_bon"][k] = _verdict(
-                        adjust_pvalues(raw, "bonferroni").min_value < alpha
-                    )
-                else:
-                    summary = pairwise_cq_procedure(stack, alpha=alpha)
-                    slots["cq_bon"][k] = _verdict(
-                        summary.reject if summary.ok else None
-                    )
+                row.extend(score(stack, config, per_column))
             except (ValueError, FloatingPointError, np.linalg.LinAlgError):
-                for name in _METHOD_OUTCOMES[method]:
-                    slots[name][k] = -1
+                row.extend((None,) * len(columns))
+        verdicts[k] = row
 
     started = time.perf_counter()
     n_workers = _worker_count(workers)
@@ -567,9 +575,8 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
     elapsed = time.perf_counter() - started
 
     outcomes = []
-    for name in names:
-        col = slots[name]
-        errors = int((col == -1).sum())
+    for name, column in zip(config.outcome_names(), zip(*verdicts)):
+        errors = column.count(None)
         if errors > 0.01 * config.replicates:
             raise RuntimeError(
                 f"method {name!r} failed on {errors} of {config.replicates} "
@@ -578,7 +585,7 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
         outcomes.append(
             MethodOutcome(
                 method=name,
-                rejections=int((col == 1).sum()),
+                rejections=column.count(True),
                 valid=config.replicates - errors,
                 errors=errors,
             )
@@ -589,9 +596,3 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
         replicates=config.replicates,
         elapsed_seconds=elapsed,
     )
-
-
-def _verdict(reject: bool | None) -> int:
-    if reject is None:
-        return -1
-    return 1 if reject else 0

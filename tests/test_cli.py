@@ -152,6 +152,7 @@ def test_rows_orientation_matches_manual_transpose(tmp_path, capsys):
         rep_b["result"]["statistic"], rel=1e-12)
     assert rep_a["result"]["reject"] is True
     assert rep_a["data"]["orientation"] == "rows"
+    assert rep_a["result"]["orientation"] == "rows"
 
 
 def test_known_matrix_mode(tmp_path, capsys):
@@ -553,15 +554,36 @@ def test_perfbench_tracer_runs_a_command(tmp_path):
     root = Path(__file__).resolve().parents[1]
     data = tmp_path / "tiny.txt"
     write_stack_file(str(data), DataStack(np.random.default_rng(3).standard_normal((4, 3, 4))))
-    spans = tmp_path / "spans.json"
+    config = tmp_path / "all_methods.json"
+    config.write_text(json.dumps(SimConfig(
+        n_subjects=8, n_rows=6, n_cols=3,
+        scenario=NoiseScenario("normal"),
+        covariance=IdentityCovariance(),
+        mean=ZeroMean(),
+        partition=GroupPartition.from_sizes((3,)),
+        replicates=100, seed=1, methods=("proposed", "anova", "kw", "cq"),
+    ).to_dict()))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), "--",
-         "test", str(data), "--partition", "sizes=2,2"],
-        env=env, capture_output=True, text=True, timeout=120,
+    commands = (
+        (["test", str(data), "--partition", "sizes=2,2"], set()),
+        # every layer span of a Monte Carlo run must still fire: a function
+        # the harness captured before the tracer wrapped it would not show
+        (["simulate", "--config", str(config)],
+         {"engine.mean_matrix_test", "baselines.anova_rowwise",
+          "baselines.kruskal_rowwise", "baselines.pairwise_cq",
+          "covariance.root_apply"}),
     )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(spans.read_text())["spans"]
+    for k, (args, expected) in enumerate(commands):
+        spans = tmp_path / f"spans{k}.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), "--",
+             *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        names = {span[2] for span in json.loads(spans.read_text())["spans"]}
+        assert names
+        assert expected <= names, expected - names

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import matmean.simulate as simulate
 from matmean.core import DataStack, GroupPartition
 from matmean.covariance import (
     Ar1Factor,
@@ -210,6 +211,23 @@ def test_mixture_splits_rows_at_half():
     skew = lambda v: ((v - v.mean()) ** 3).mean() / v.std() ** 3
     assert abs(skew(top)) < 0.05
     assert skew(bottom) == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("tag", ["normal", "gamma", "mixture"])
+def test_noise_batch_matches_whole_array_draws(tag):
+    # the fixed draw order: one (n, top, c) normal draw, then one
+    # (n, r - top, c) gamma draw, standardized
+    n, r, c = 3, 7, 5
+    top = {"normal": r, "gamma": 0, "mixture": r // 2}[tag]
+    ref = replicate_rng(4, 2)
+    want = np.concatenate([
+        ref.standard_normal((n, top, c)),
+        (ref.gamma(4.0, 2.0, size=(n, r - top, c)) - 8.0) / 4.0,
+    ], axis=1)
+    rng = replicate_rng(4, 2)
+    got = simulate._noise_batch(NoiseScenario(tag), n, r, c, rng)
+    assert np.array_equal(got, want)
+    assert rng.random() == ref.random()  # both streams end at the same place
 
 
 def test_noise_is_deterministic_per_seed():
@@ -448,6 +466,34 @@ def test_monte_carlo_null_size_sane():
     assert 0.01 <= out.proportion <= 0.11
 
 
+def test_monte_carlo_failures_tallied_per_column(monkeypatch):
+    cfg = _config(methods=("proposed", "anova"), replicates=200)
+    clean = monte_carlo(cfg, workers=1)
+    real = simulate.anova_rowwise
+    calls = []
+
+    def flaky(stack, partition):
+        calls.append(None)
+        if len(calls) == 37:  # one replicate of the serial run
+            raise ValueError("injected failure")
+        return real(stack, partition)
+
+    monkeypatch.setattr(simulate, "anova_rowwise", flaky)
+    rep = monte_carlo(cfg, workers=1)
+    for name in ("anova_fdr", "anova_bon"):
+        out = rep.outcome(name)
+        assert (out.errors, out.valid) == (1, 199)
+        assert out.rejections <= clean.outcome(name).rejections
+    assert rep.outcome("proposed") == clean.outcome("proposed")
+
+    def broken(stack, partition):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr(simulate, "anova_rowwise", broken)
+    with pytest.raises(RuntimeError, match="'anova_fdr' failed on 200 of 200"):
+        monte_carlo(cfg, workers=1)
+
+
 def test_rejection_report_serialization():
     cfg = _config(methods=("proposed", "kw"))
     rep = monte_carlo(cfg, workers=2)
@@ -457,6 +503,7 @@ def test_rejection_report_serialization():
     csv = rep.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "method,rejections,valid,errors,proportion,std_error"
+    assert lines[0].split(",") == list(rep.outcomes[0].to_dict())
     assert len(lines) == 1 + len(cfg.outcome_names())
     assert "elapsed" not in csv
     # float fields use repr, so the CSV round-trips exactly
