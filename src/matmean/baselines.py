@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .core import DataStack, GroupPartition
 from .engine import TestResult, _standardize, deviation_estimate, trace_cov_sq_fast
@@ -106,6 +105,8 @@ def anova_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector:
     standard one-way ANOVA is run across the g groups.  Rows with no
     within-group variation are flagged and given p = 1.
     """
+    from scipy import stats  # about 1 s to import; only the row-wise tests need it
+
     indicator, _ = _pooled_layout(stack, partition)
     vals = stack.values
     n, r, c = vals.shape
@@ -140,6 +141,8 @@ def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector
     invariant under monotone transformations of a row.  All-tied rows
     are flagged and given p = 1.
     """
+    from scipy import stats
+
     indicator, assign = _pooled_layout(stack, partition)
     vals = stack.values
     n, r, c = vals.shape

@@ -544,6 +544,28 @@ def test_simulate_csv_identical_across_worker_counts(tmp_path, capsys):
     assert len(texts[0].splitlines()) == 4  # header plus three partition runs
 
 
+def test_test_command_does_not_import_scipy_stats(tmp_path):
+    # scipy.stats takes about a second to import and only the row-wise
+    # baselines use it
+    root = Path(__file__).resolve().parents[1]
+    data = tmp_path / "tiny.txt"
+    write_stack_file(str(data), DataStack(np.random.default_rng(5).standard_normal((4, 3, 4))))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "import sys\n"
+        "from matmean.cli import main\n"
+        f"code = main(['test', {str(data)!r}, '--partition', 'sizes=2,2'])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # benchmark tracer
 
