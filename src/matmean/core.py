@@ -166,13 +166,29 @@ class DataStack:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        self._own(v.copy() if v is self.values else v)
+
+    @classmethod
+    def _owning(cls, values: np.ndarray) -> "DataStack":
+        """Wrap a float array without copying it.
+
+        For arrays the package has just computed, or views of a stack's
+        own read-only values: nothing may write to the array afterwards.
+        A strided array is made C-ordered (one copy); the checks are
+        those of the public constructor.
+        """
+        stack = object.__new__(cls)
+        stack._own(values)
+        return stack
+
+    def _own(self, v: np.ndarray) -> None:
         if v.ndim != 3:
             raise ValueError(f"expected a (N, r, c) array, got shape {v.shape}")
         if min(v.shape) < 1:
             raise ValueError(f"empty dimension in shape {v.shape}")
         if not np.isfinite(v).all():
             raise ValueError("data stack contains non-finite values")
-        v = v.copy() if v is self.values else v
+        v = np.ascontiguousarray(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -196,18 +212,15 @@ class DataStack:
     def n_cols(self) -> int:
         return self.values.shape[2]
 
-    # __post_init__ copies what it is given into a fresh C-ordered
-    # buffer, so the three methods below pass their arrays uncopied
-
     def transposed(self) -> "DataStack":
         """Swap rows and columns of every subject matrix."""
-        return DataStack(self.values.transpose(0, 2, 1))
+        return DataStack._owning(self.values.transpose(0, 2, 1))
 
     def take_columns(self, cols: Sequence[int]) -> "DataStack":
-        return DataStack(self.values[:, :, list(cols)])
+        return DataStack._owning(np.take(self.values, list(cols), axis=2))
 
     def take_rows(self, rows: Sequence[int]) -> "DataStack":
-        return DataStack(self.values[:, list(rows), :])
+        return DataStack._owning(np.take(self.values, list(rows), axis=1))
 
 
 def deviation(m: np.ndarray, projection: ProjectionMatrix) -> float:

@@ -511,8 +511,11 @@ def gen_stack(config: SimConfig, rng, *, root=None, mean=None) -> DataStack:
         root = sqrt_factor(config.covariance, r, c)
     if mean is None:
         mean = config.mean.build(r, c, config.covariance)
-    z = _noise_batch(config.scenario, config.n_subjects, r, c, rng)
-    return DataStack(root.apply(z) + mean)
+    # every root returns a fresh array (or the noise itself), so the mean
+    # goes in place and the stack takes the array over without a copy
+    x = root.apply(_noise_batch(config.scenario, config.n_subjects, r, c, rng))
+    x += mean
+    return DataStack._owning(x)
 
 
 def _worker_count(workers: int | None) -> int:

@@ -85,6 +85,79 @@ def test_kruskal_flags_all_tied_row():
     assert 0 in got.degenerate_rows and got.values[0] == 1.0
 
 
+def _rowwise_layout(stack, partition):
+    n, r, c = stack.values.shape
+    indicator = np.zeros((c, partition.n_groups))
+    indicator[np.arange(c), np.asarray(partition.assignment) - 1] = 1.0
+    return n, r, c, indicator, n * np.asarray(partition.sizes, dtype=float)
+
+
+def _anova_reference(stack, partition):
+    """Row-wise F test with the scipy.stats tail, term by term as anova_rowwise."""
+    n, r, c, indicator, counts = _rowwise_layout(stack, partition)
+    vals, g, n_tot = stack.values, partition.n_groups, n * c
+    col_sum = vals.sum(axis=0)
+    group_sum = col_sum @ indicator
+    fitted = (group_sum * group_sum / counts).sum(axis=1)
+    total = col_sum.sum(axis=1)
+    total_sq = (vals * vals).sum(axis=0).sum(axis=1)
+    ss_between = fitted - total * total / n_tot
+    ss_within = total_sq - fitted
+    degenerate = ss_within <= 1e-10 * np.maximum(total_sq, 1.0)
+    live = ~degenerate
+    f = (ss_between[live] / (g - 1)) / (ss_within[live] / (n_tot - g))
+    p = np.ones(r)
+    p[live] = stats.f.sf(np.maximum(f, 0.0), g - 1, n_tot - g)
+    return p, tuple(np.flatnonzero(degenerate).tolist())
+
+
+def _kruskal_reference(stack, partition):
+    """Row-wise Kruskal-Wallis from stats.rankdata, np.unique and stats.chi2."""
+    n, r, c, indicator, counts = _rowwise_layout(stack, partition)
+    n_tot = n * c
+    flat = stack.values.transpose(1, 0, 2).reshape(r, n_tot)
+    rank_sum = stats.rankdata(flat, axis=1) @ np.tile(indicator, (n, 1))
+    h = 12.0 / (n_tot * (n_tot + 1)) * (rank_sum * rank_sum / counts).sum(
+        axis=1
+    ) - 3.0 * (n_tot + 1)
+    p = np.ones(r)
+    all_tied = []
+    for b in range(r):
+        _, t = np.unique(flat[b], return_counts=True)
+        if t.size == 1:
+            all_tied.append(b)
+            continue
+        correction = 1.0 - float((t.astype(float) ** 3 - t).sum()) / (n_tot**3 - n_tot)
+        p[b] = stats.chi2.sf(max(h[b] / correction, 0.0), partition.n_groups - 1)
+    return p, tuple(all_tied)
+
+
+def test_rowwise_baselines_equal_scipy_stats_exactly():
+    rng = np.random.default_rng(65)
+    vals = rng.standard_normal((5, 6, 6))
+    vals[:, 1] = np.round(vals[:, 1] * 2) / 2  # tie-heavy
+    vals[:, 2] = -1.75  # all tied
+    vals[:, 3] = np.where(rng.uniform(size=(5, 6)) < 0.5, 0.0, -0.0)
+    vals[:, 3, :2] = rng.standard_normal((5, 2))  # 0.0 and -0.0 tie
+    vals[:, 5] = np.round(vals[:, 5])
+    stack = DataStack(vals)
+    big = DataStack(np.round(rng.standard_normal((10, 300, 10)) * 4))
+    for st, part in (
+        (stack, GroupPartition.from_sizes((2, 2, 2))),
+        (stack, GroupPartition((1, 2, 1, 3, 2, 3))),
+        (big, GroupPartition(tuple(range(1, 11)))),
+        (DataStack(big.values + rng.standard_normal((10, 300, 10))),
+         GroupPartition.from_sizes((5, 5))),
+    ):
+        for fn, reference in ((anova_rowwise, _anova_reference),
+                              (kruskal_rowwise, _kruskal_reference)):
+            got = fn(st, part)
+            p, degenerate = reference(st, part)
+            assert got.values.tobytes() == p.tobytes(), fn.__name__
+            assert got.degenerate_rows == degenerate, fn.__name__
+    assert kruskal_rowwise(stack, GroupPartition.from_sizes((2, 2, 2))).degenerate_rows == (2,)
+
+
 def test_pvalue_vector_validation():
     with pytest.raises(ValueError, match=r"in \[0, 1\]"):
         PValueVector(np.array([0.5, 1.2]), method="raw")

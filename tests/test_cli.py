@@ -544,12 +544,9 @@ def test_simulate_csv_identical_across_worker_counts(tmp_path, capsys):
     assert len(texts[0].splitlines()) == 4  # header plus three partition runs
 
 
-def test_test_command_does_not_import_scipy_stats(tmp_path):
-    # scipy.stats takes about a second to import and only the row-wise
-    # baselines use it
+def _assert_no_scipy_stats(argv):
+    """Run ``main(argv)`` in a fresh interpreter; it must not import scipy.stats."""
     root = Path(__file__).resolve().parents[1]
-    data = tmp_path / "tiny.txt"
-    write_stack_file(str(data), DataStack(np.random.default_rng(5).standard_normal((4, 3, 4))))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
@@ -557,13 +554,35 @@ def test_test_command_does_not_import_scipy_stats(tmp_path):
     script = (
         "import sys\n"
         "from matmean.cli import main\n"
-        f"code = main(['test', {str(data)!r}, '--partition', 'sizes=2,2'])\n"
+        f"code = main({argv!r})\n"
         "assert code == 0, code\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_test_command_does_not_import_scipy_stats(tmp_path):
+    # scipy.stats is slow to import and the package needs none of it: the
+    # normal tail and the F and chi-square tails come from scipy.special
+    data = tmp_path / "tiny.txt"
+    write_stack_file(str(data), DataStack(np.random.default_rng(5).standard_normal((4, 3, 4))))
+    _assert_no_scipy_stats(["test", str(data), "--partition", "sizes=2,2"])
+
+
+def test_simulate_with_every_method_does_not_import_scipy_stats(tmp_path):
+    config = tmp_path / "all_methods.json"
+    config.write_text(json.dumps(SimConfig(
+        n_subjects=6, n_rows=5, n_cols=3,
+        scenario=NoiseScenario("normal"),
+        covariance=IdentityCovariance(),
+        mean=ZeroMean(),
+        partition=GroupPartition.from_sizes((3,)),
+        replicates=100, seed=2, methods=("proposed", "anova", "kw", "cq"),
+    ).to_dict()))
+    _assert_no_scipy_stats(["simulate", "--config", str(config),
+                            "--out", str(tmp_path / "out.csv")])
 
 
 # ---------------------------------------------------------------------------

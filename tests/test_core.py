@@ -166,6 +166,22 @@ def test_datastack_validation_and_views():
     assert np.array_equal(rows.values[:, 0, :], vals[:, 1, :])
 
 
+def test_datastack_views_are_read_only_c_ordered_copies():
+    vals = np.random.default_rng(14).standard_normal((4, 3, 5))
+    st = DataStack(vals)
+    views = (
+        (st.transposed(), vals.transpose(0, 2, 1)),
+        (st.take_columns([4, 0, 2]), vals[:, :, [4, 0, 2]]),
+        (st.take_rows([2, 0]), vals[:, [2, 0], :]),
+    )
+    for view, expected in views:
+        assert view.values.tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert view.values.flags.c_contiguous and not view.values.flags.writeable
+        assert not np.shares_memory(view.values, st.values)
+    with pytest.raises(ValueError, match="empty dimension"):
+        st.take_columns([])
+
+
 def test_datastack_from_matrices_shape_check():
     mats = [np.zeros((2, 3)), np.zeros((2, 3))]
     st = DataStack.from_matrices(mats)

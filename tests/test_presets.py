@@ -1,7 +1,11 @@
-"""Preset grids: shapes, seeds, filters."""
+"""Preset grids: shapes, seeds, filters, and golden CSV bytes."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from matmean.cli import main
 
 from matmean.covariance import (
     BlockDiagonalCovariance,
@@ -202,3 +206,25 @@ def test_seed_values_are_large_nonnegative_ints():
             assert 0 <= run.config.seed < 2**64
             rng = np.random.default_rng(run.config.seed)
             rng.standard_normal(3)
+
+
+# preset CSVs written at --reps 100 --seed 0 before the row-wise baselines
+# and stack generation were rewritten for speed; together they cover the
+# proposed, ANOVA, Kruskal-Wallis and pairwise Chen-Qin methods, the block
+# and Kronecker roots, and the normal, gamma and mixture noise draws
+GOLDEN_CSVS = (
+    ("table1", "r=100,N=10", "preset_table1_r100_N10.csv"),
+    ("table3", "scenario=gamma,r=100,N=10", "preset_table3_gamma_r100_N10.csv"),
+    ("table5", "scenario=normal,r=100,c=10,N=10", "preset_table5_normal_r100_c10_N10.csv"),
+)
+
+
+@pytest.mark.parametrize("preset,cell,golden", GOLDEN_CSVS, ids=[g[0] for g in GOLDEN_CSVS])
+def test_preset_csv_bytes_match_golden_file(preset, cell, golden, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main(["simulate", "--preset", preset, "--cell", cell, "--reps", "100",
+                 "--seed", "0", "--workers", "1", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    expected = (Path(__file__).parent / "data" / golden).read_bytes()
+    assert out.read_bytes() == expected

@@ -358,6 +358,29 @@ def test_gen_stack_identity_equals_noise_plus_mean():
     assert np.allclose(stack.values, z + m, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "covariance",
+    [
+        IdentityCovariance(),
+        KroneckerCovariance(Ar1Factor(6, 0.5), CompoundFactor(4)),
+        BlockDiagonalCovariance(tuple(Ar1Factor(6, 0.3) for _ in range(4))),
+        DenseCovariance(0.7 * np.eye(24) + 0.3 * np.ones((24, 24))),
+        CompoundCovariance(rho=0.2),
+    ],
+    ids=lambda cov: cov.to_dict()["kind"],
+)
+def test_gen_stack_returns_read_only_c_ordered_stack(covariance):
+    # block and compound roots return transposed views; the stack must
+    # still hold one C-ordered array with the values of root(z) + mean
+    cfg = _config(n_rows=6, covariance=covariance,
+                  mean=RightBlockMean(zero_cols=2, effect_cols=2, target=0.2))
+    stack = gen_stack(cfg, np.random.default_rng(84))
+    z = simulate._noise_batch(cfg.scenario, 8, 6, 4, np.random.default_rng(84))
+    expected = sqrt_factor(covariance, 6, 4).apply(z) + cfg.mean.build(6, 4, covariance)
+    assert stack.values.flags.c_contiguous and not stack.values.flags.writeable
+    assert stack.values.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
 def test_gen_stack_mean_recovery():
     mean_spec = RightBlockMean(zero_cols=2, effect_cols=2, target=1.0)
     cfg = _config(mean=mean_spec, covariance=CompoundCovariance(rho=0.2))
