@@ -138,21 +138,22 @@ def anova_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector:
     return PValueVector(p, "raw", tuple(np.flatnonzero(degenerate).tolist()))
 
 
-def _midranks(flat: np.ndarray) -> tuple:
-    """Mid-ranks of every row, the all-tied rows and the tie sums.
+def _rank_in_place(flat: np.ndarray) -> tuple:
+    """Replace every row by the mid-ranks of its sorted values.
 
-    One argsort and one sort per row: ordinal ranks go back through the
-    inverse permutation, then each row holding equal values has every
-    run of them replaced by the mean of its positions.  Ranks are exact
-    half-integers.  The tie sum of a row is sum(t^3 - t) over its runs
-    of length t, read off the same runs.
+    One argsort and one in-place sort per row.  Afterwards ``flat[i, p]``
+    is the mid-rank of the value at sorted position p of row i: p + 1,
+    except that each run of equal values gets the mean of its positions,
+    so ranks are exact half-integers.  Returns the argsort, the all-tied
+    rows and the tie sums; the tie sum of a row is sum(t^3 - t) over its
+    runs of length t, read off the same runs.
     """
     r, m = flat.shape
     order = np.argsort(flat, axis=1)
-    srt = np.sort(flat, axis=1)
-    ranks = np.empty((r, m))
-    np.put_along_axis(ranks, order, np.arange(1.0, m + 1.0), axis=1)
-    tied = srt[:, 1:] == srt[:, :-1]
+    flat.sort(axis=1)
+    tied = flat[:, 1:] == flat[:, :-1]
+    all_tied = flat[:, 0] == flat[:, -1]
+    flat[:] = np.arange(1.0, m + 1.0)
     tie_sum = np.zeros(r)
     rows = np.flatnonzero(tied.any(axis=1))
     if rows.size:
@@ -163,12 +164,10 @@ def _midranks(flat: np.ndarray) -> tuple:
         # 1-based position of a run's first value plus half its length
         mid = (2 * (first % m) + length + 1) / 2.0
         runs = np.cumsum(starts).reshape(starts.shape) - 1
-        sub = np.empty((rows.size, m))
-        np.put_along_axis(sub, order[rows], mid[runs], axis=1)
-        ranks[rows] = sub
+        flat[rows] = mid[runs]
         t = length.astype(float)
         tie_sum[rows] = np.bincount(first // m, weights=t**3 - t, minlength=rows.size)
-    return ranks, srt[:, 0] == srt[:, -1], tie_sum
+    return order, all_tied, tie_sum
 
 
 def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector:
@@ -178,18 +177,23 @@ def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector
     invariant under monotone transformations of a row.  All-tied rows
     are flagged and given p = 1.
     """
-    indicator, assign = _pooled_layout(stack, partition)
+    _, assign = _pooled_layout(stack, partition)
     vals = stack.values
     n, r, c = vals.shape
     g = partition.n_groups
     counts = n * np.asarray(partition.sizes, dtype=float)
     n_tot = n * c
 
-    flat = vals.transpose(1, 0, 2).reshape(r, n_tot)
-    ranks, all_tied, tie_sum = _midranks(flat)
-    # flattening is subject-major, so the group labels tile per subject
-    labels = np.tile(indicator, (n, 1))
-    rank_sum = ranks @ labels
+    # a copy of its own even when r == 1, since it is ranked in place
+    ranks = np.array(vals.transpose(1, 0, 2), order="C").reshape(r, n_tot)
+    order, all_tied, tie_sum = _rank_in_place(ranks)
+    # flattening is subject-major, so the group labels tile per subject;
+    # key i*g + q collects the ranks of row i that fall in group q, and
+    # sums of half-integers are exact in any order
+    keys = np.tile(assign, n)[order]
+    keys += np.arange(0, r * g, g)[:, None]
+    rank_sum = np.bincount(keys.ravel(), weights=ranks.ravel(), minlength=r * g)
+    rank_sum = rank_sum.reshape(r, g)
     h = 12.0 / (n_tot * (n_tot + 1)) * (rank_sum * rank_sum / counts).sum(
         axis=1
     ) - 3.0 * (n_tot + 1)
@@ -273,11 +277,16 @@ def _within(gram: np.ndarray) -> tuple:
 def _cq_results(
     within_a, within_b, cross: np.ndarray, dim: int, alpha: float
 ) -> list[TestResult]:
-    """Two-sample tests from per-group terms and a batch of cross grams."""
+    """Two-sample tests from per-group terms and a batch of cross grams.
+
+    Terms that overflow are left non-finite, without a warning: the
+    result reports them as a failure.
+    """
     (loc_a, var_a), (loc_b, var_b) = within_a, within_b
     n1, n2 = cross.shape[-2:]
-    loc = loc_a + loc_b - 2.0 * cross.sum(axis=(-2, -1)) / (n1 * n2)
-    var = var_a + var_b + 4.0 * _cross_trace_estimate(cross) / (n1 * n2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loc = loc_a + loc_b - 2.0 * cross.sum(axis=(-2, -1)) / (n1 * n2)
+        var = var_a + var_b + 4.0 * _cross_trace_estimate(cross) / (n1 * n2)
     return _standardize(
         loc, var, var, dim, alpha, "plug-in variance",
         n_used=n1 + n2, c_used=2, orientation="columns",
@@ -307,7 +316,9 @@ def chen_qin_two_sample(group1, group2, alpha: float = 0.05) -> TestResult:
         raise ValueError("group data contain non-finite values")
     if x.shape[0] < 4 or y.shape[0] < 4:
         raise ValueError("each group needs at least 4 vectors")
-    return _cq_results(_within(x @ x.T), _within(y @ y.T), x @ y.T, x.shape[1], alpha)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grams = x @ x.T, y @ y.T, x @ y.T
+    return _cq_results(_within(grams[0]), _within(grams[1]), grams[2], x.shape[1], alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -348,7 +359,8 @@ def pairwise_cq_procedure(stack: DataStack, alpha: float = 0.05) -> PairwiseCqSu
         raise ValueError("pairwise scan needs at least 2 columns")
     flat = stack.values.transpose(2, 0, 1).reshape(c * n, r)
     # block (a, b) of the column gram is big[a, :, b, :]
-    big = (flat @ flat.T).reshape(c, n, c, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        big = (flat @ flat.T).reshape(c, n, c, n)
     cols = np.arange(c)
     loc, var = _within(big[cols, :, cols, :])
     ia, ib = np.triu_indices(c, 1)

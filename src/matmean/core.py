@@ -75,7 +75,7 @@ class GroupPartition:
     def n_groups(self) -> int:
         return max(self.assignment)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         counts = [0] * self.n_groups
         for q in self.assignment:
@@ -125,23 +125,49 @@ class ProjectionMatrix:
         p.setflags(write=False)
         return p
 
+    @cached_property
+    def _labels(self) -> np.ndarray:
+        return np.asarray(self.partition.assignment) - 1
+
+    @cached_property
+    def _sizes(self) -> np.ndarray:
+        return np.asarray(self.partition.sizes)
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """Position of each group's first column once columns are sorted by group."""
+        return np.cumsum(self._sizes) - self._sizes
+
+    @cached_property
+    def _contiguous(self) -> bool:
+        """True when every group is one run of adjacent columns, in group order."""
+        return bool((np.diff(self._labels) >= 0).all())
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``x @ values`` for x of shape (..., c), at O(x.size) cost.
 
         Subtracts from every column the mean of its group's columns,
-        along the last axis.
+        along the last axis.  When each group is a run of adjacent
+        columns, the group sums are taken on ``x`` itself and each mean
+        is subtracted from its run, so one array is allocated.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_cols:
             raise ValueError(
                 f"last axis has length {x.shape[-1]}, projection expects {self.n_cols}"
             )
-        sizes = self.partition.sizes
-        labels = np.asarray(self.partition.assignment) - 1
-        order = np.argsort(labels, kind="stable")
-        starts = np.cumsum((0,) + sizes[:-1])
-        means = np.add.reduceat(x[..., order], starts, axis=-1) / sizes
-        return x - means[..., labels]
+        if not self._contiguous:
+            order = np.argsort(self._labels, kind="stable")
+            means = np.add.reduceat(x[..., order], self._starts, axis=-1) / self._sizes
+            return x - means[..., self._labels]
+        means = np.add.reduceat(x, self._starts, axis=-1) / self._sizes
+        out = np.empty(x.shape)
+        lo = 0
+        for q, size in enumerate(self.partition.sizes):
+            run = slice(lo, lo + size)
+            np.subtract(x[..., run], means[..., q : q + 1], out=out[..., run])
+            lo += size
+        return out
 
 
 def build_projection(partition: GroupPartition) -> ProjectionMatrix:

@@ -50,12 +50,6 @@ def _spd_root(mat: np.ndarray, label: str) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _vec(z: np.ndarray) -> np.ndarray:
-    """Column-major vec applied to each matrix of an (n, r, c) stack."""
-    n = z.shape[0]
-    return z.transpose(0, 2, 1).reshape(n, -1)
-
-
 def _unvec(v: np.ndarray, r: int, c: int) -> np.ndarray:
     return v.reshape(-1, c, r).transpose(0, 2, 1)
 
@@ -145,53 +139,93 @@ def factor_from_dict(d: dict):
 # covariance specs
 
 
+def _scratch(scratch, count: int, size: int):
+    """The caller's scratch arrays, or ``count`` fresh ones of ``size`` floats."""
+    if scratch is None:
+        return [np.empty(size) for _ in range(count)]
+    return scratch
+
+
+def _vec_into(buf: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Column-major vec of each matrix of ``z``, written into the flat ``buf``."""
+    n, r, c = z.shape
+    v = buf.reshape(n, c, r)
+    np.copyto(v, z.transpose(0, 2, 1))
+    return v.reshape(n, c * r)
+
+
+# Every root's ``apply(z, out=None, scratch=None)`` writes into ``out``
+# when given (which may be ``z`` itself, since z is read before out is
+# written) and works in ``scratch``: ``scratch_count`` flat float arrays
+# of z.size entries.  Without them it allocates, so a root can be shared
+# by threads that each pass their own buffers.
+
+
 class _IdentityRoot:
-    def apply(self, z):
-        return z
+    scratch_count = 0
+
+    def apply(self, z, out=None, scratch=None):
+        if out is None or out is z:
+            return z
+        np.copyto(out, z)
+        return out
 
 
 class _KroneckerRoot:
+    scratch_count = 2
+
     def __init__(self, row_root, col_root):
         self.row_root = row_root
         self.col_root = col_root
 
-    def apply(self, z):
+    def apply(self, z, out=None, scratch=None):
         n, r, c = z.shape
-        zb = z.transpose(1, 0, 2).reshape(r, n * c)
-        w = (self.row_root @ zb).reshape(r, n, c).transpose(1, 0, 2)
-        return w @ self.col_root
+        zt, rz = _scratch(scratch, self.scratch_count, z.size)
+        zb = zt.reshape(r, n, c)
+        np.copyto(zb, z.transpose(1, 0, 2))
+        w = np.matmul(self.row_root, zb.reshape(r, n * c), out=rz.reshape(r, n * c))
+        return np.matmul(w.reshape(r, n, c).transpose(1, 0, 2), self.col_root, out=out)
 
 
 class _BlockRoot:
+    scratch_count = 2
+
     def __init__(self, offsets_roots, r, c):
         self.offsets_roots = offsets_roots
         self.r = r
         self.c = c
 
-    def apply(self, z):
-        v = _vec(z)
-        out = np.empty_like(v)
+    def apply(self, z, out=None, scratch=None):
+        vs, ws = _scratch(scratch, self.scratch_count, z.size)
+        v = _vec_into(vs, z)
+        w = ws.reshape(v.shape)
         for off, root in self.offsets_roots:
             d = root.shape[0]
             # roots are symmetric, so right-multiplication applies them
-            out[:, off : off + d] = v[:, off : off + d] @ root
-        return _unvec(out, self.r, self.c)
+            np.matmul(v[:, off : off + d], root, out=w[:, off : off + d])
+        if out is None:
+            out = np.empty(z.shape)
+        np.copyto(out, _unvec(w, self.r, self.c))
+        return out
 
 
 class _CompoundRoot:
     """Root of (1-rho) I + rho J in closed form: a I + b J."""
 
+    scratch_count = 1
+
     def __init__(self, rho, r, c):
         d = r * c
         self.a = np.sqrt(1.0 - rho)
         self.b = (np.sqrt(1.0 - rho + d * rho) - self.a) / d
-        self.r = r
-        self.c = c
 
-    def apply(self, z):
-        v = _vec(z)
-        out = self.a * v + self.b * v.sum(axis=1, keepdims=True)
-        return _unvec(out, self.r, self.c)
+    def apply(self, z, out=None, scratch=None):
+        (vs,) = _scratch(scratch, self.scratch_count, z.size)
+        # the sum runs in vec order; the rest is elementwise
+        shift = self.b * _vec_into(vs, z).sum(axis=1)
+        out = np.multiply(z, self.a, out=out)
+        out += shift[:, None, None]
+        return out
 
 
 @dataclass(frozen=True)
@@ -371,6 +405,9 @@ def sqrt_factor(spec, r: int, c: int):
 
     The returned object's ``apply`` maps an (n, r, c) stack of iid
     unit-variance noise to a stack with covariance ``spec`` on each vec(X).
+    It takes ``out=`` (which may be the noise itself) and ``scratch=``,
+    ``scratch_count`` flat arrays of n*r*c floats, to work without
+    allocating.
     """
     return spec.root(r, c)
 

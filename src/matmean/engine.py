@@ -107,10 +107,12 @@ def _gram(y: np.ndarray) -> np.ndarray:
     """N x N gram of the subjects along axis 0, each flattened to a vector.
 
     ``y @ y.T`` on one buffer runs as a symmetric rank-k update, so the
-    result is exactly symmetric.
+    result is exactly symmetric.  Entries that overflow are left as they
+    come: the estimates built on them are reported as a failure.
     """
     y = y.reshape(y.shape[0], -1)
-    return y @ y.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        return y @ y.T
 
 
 def compute_gram(stack: DataStack, projection: ProjectionMatrix) -> np.ndarray:
@@ -137,7 +139,8 @@ def deviation_estimate(gram: np.ndarray):
     """
     gram = np.asarray(gram, dtype=float)
     n = _gram_size(gram, minimum=2)
-    off_sum = gram.sum(axis=(-2, -1)) - np.trace(gram, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        off_sum = gram.sum(axis=(-2, -1)) - np.trace(gram, axis1=-2, axis2=-1)
     return _unbatched(off_sum / (n * (n - 1)), gram)
 
 
@@ -170,21 +173,23 @@ def trace_cov_sq_fast(gram: np.ndarray):
     sums reduce to S2, sum_i row_i^2 - S2, and S1^2 - 2 S2 - 4 P3,
     where S1 and S2 are the total sum and total squared sum of b and
     P3 the middle quantity.  Takes one gram (a float comes back) or a
-    batch of shape (..., N, N).
+    batch of shape (..., N, N).  An estimate that overflows comes back
+    non-finite, without a warning.
     """
     n = _gram_size(gram, minimum=MIN_SUBJECTS)
     b = np.array(gram, dtype=float)
     diag = np.arange(n)
     b[..., diag, diag] = 0.0
-    s1 = b.sum(axis=(-2, -1))
-    s2 = (b * b).sum(axis=(-2, -1))
-    rows = b.sum(axis=-1)
-    p3 = (rows * rows).sum(axis=-1) - s2
-    quad = s1 * s1 - 2.0 * s2 - 4.0 * p3
-    d2 = n * (n - 1)
-    d3 = d2 * (n - 2)
-    d4 = d3 * (n - 3)
-    return _unbatched(s2 / d2 - 2.0 * p3 / d3 + quad / d4, b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s1 = b.sum(axis=(-2, -1))
+        s2 = (b * b).sum(axis=(-2, -1))
+        rows = b.sum(axis=-1)
+        p3 = (rows * rows).sum(axis=-1) - s2
+        quad = s1 * s1 - 2.0 * s2 - 4.0 * p3
+        d2 = n * (n - 1)
+        d3 = d2 * (n - 2)
+        d4 = d3 * (n - 3)
+        return _unbatched(s2 / d2 - 2.0 * p3 / d3 + quad / d4, b)
 
 
 def _gram_size(gram: np.ndarray, minimum: int) -> int:

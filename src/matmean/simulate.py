@@ -9,13 +9,17 @@ across dimensions.
 
 Replicate k of a run draws from its own counter-based RNG stream, so
 results are identical no matter how replicates are scheduled across
-threads.
+threads.  Each worker thread builds its stacks in one set of buffers
+that lives for the whole run: N*r*c floats for the stack, plus the
+same again for each scratch array the covariance root needs (none for
+the identity, one for compound symmetry, two otherwise).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +44,7 @@ __all__ = [
     "sqrt_factor",
     "gen_noise",
     "gen_stack",
+    "stack_buffers",
     "mean_from_dict",
     "replicate_rng",
     "monte_carlo",
@@ -74,13 +79,15 @@ class NoiseScenario:
         return cls(str(tag).strip().lower())
 
 
-def _noise_batch(scenario: NoiseScenario, n: int, r: int, c: int, rng) -> np.ndarray:
+def _noise_batch(
+    scenario: NoiseScenario, n: int, r: int, c: int, rng, out: np.ndarray | None = None
+) -> np.ndarray:
     # draw order is part of the determinism contract: the normal rows of
     # every subject, then the gamma rows of every subject.  Drawing each
     # subject's rows in turn into place uses the stream exactly as one
     # (n, rows, c) draw would, and a zero-size draw leaves it untouched.
     top = {"normal": r, "gamma": 0, "mixture": r // 2}[scenario.tag]
-    z = np.empty((n, r, c))
+    z = np.empty((n, r, c)) if out is None else out
     for rows in z[:, :top]:
         rng.standard_normal(out=rows)
     for rows in z[:, top:]:
@@ -500,20 +507,38 @@ def replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def gen_stack(config: SimConfig, rng, *, root=None, mean=None) -> DataStack:
+def stack_buffers(config: SimConfig, root) -> tuple[np.ndarray, ...]:
+    """One set of float buffers for ``gen_stack``: the stack, then the root's scratch.
+
+    Each holds N*r*c floats, so a set takes 1 + ``root.scratch_count``
+    times the size of one stack.
+    """
+    size = config.n_subjects * config.n_rows * config.n_cols
+    return tuple(np.empty(size) for _ in range(1 + root.scratch_count))
+
+
+def gen_stack(config: SimConfig, rng, *, root=None, mean=None, buffers=None) -> DataStack:
     """One stack of N subjects from the configured generative model.
 
     ``root`` and ``mean`` allow a caller that loops over replicates to
-    reuse the covariance factorization and calibrated mean.
+    reuse the covariance factorization and calibrated mean, and
+    ``buffers`` (from ``stack_buffers`` for that root) to reuse the
+    arrays the stack is built in.  With buffers the stack is a read-only
+    view of the first one, valid until the next call with the same set;
+    without, every call returns a stack of its own.
     """
-    r, c = config.n_rows, config.n_cols
+    n, r, c = config.n_subjects, config.n_rows, config.n_cols
     if root is None:
         root = sqrt_factor(config.covariance, r, c)
     if mean is None:
         mean = config.mean.build(r, c, config.covariance)
-    # every root returns a fresh array (or the noise itself), so the mean
-    # goes in place and the stack takes the array over without a copy
-    x = root.apply(_noise_batch(config.scenario, config.n_subjects, r, c, rng))
+    if buffers is None:
+        buffers = stack_buffers(config, root)
+    # the noise is drawn into the stack buffer and the root writes its
+    # output over it, so the mean goes in place and the stack takes a
+    # view without a copy
+    z = _noise_batch(config.scenario, n, r, c, rng, out=buffers[0].reshape(n, r, c))
+    x = root.apply(z, out=z, scratch=buffers[1:])
     x += mean
     return DataStack._owning(x)
 
@@ -554,10 +579,15 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
     per_column = GroupPartition(tuple(range(1, c + 1)))
     # verdicts[k]: one verdict per outcome column on replicate k
     verdicts: list = [None] * config.replicates
+    # each worker thread builds every stack in its own set of buffers
+    local = threading.local()
 
     def run_one(k: int) -> None:
         rng = replicate_rng(config.seed, k)
-        stack = gen_stack(config, rng, root=root, mean=mean)
+        buffers = getattr(local, "buffers", None)
+        if buffers is None:
+            buffers = local.buffers = stack_buffers(config, root)
+        stack = gen_stack(config, rng, root=root, mean=mean, buffers=buffers)
         row = []
         for method in config.methods:
             columns, score = _METHODS[method]

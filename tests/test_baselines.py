@@ -11,6 +11,7 @@ from matmean.baselines import (
     pairwise_cq_procedure,
 )
 from matmean.core import DataStack, GroupPartition
+from matmean.engine import mean_matrix_test
 
 
 def _group_samples(stack, partition, row):
@@ -148,6 +149,8 @@ def test_rowwise_baselines_equal_scipy_stats_exactly():
         (big, GroupPartition(tuple(range(1, 11)))),
         (DataStack(big.values + rng.standard_normal((10, 300, 10))),
          GroupPartition.from_sizes((5, 5))),
+        # one row: reshaping its pooled values gives a view of the stack
+        (DataStack(big.values[:, :1]), GroupPartition.from_sizes((4, 6))),
     ):
         for fn, reference in ((anova_rowwise, _anova_reference),
                               (kruskal_rowwise, _kruskal_reference)):
@@ -280,6 +283,22 @@ def test_chen_qin_overflow_reports_failure():
     assert np.isnan(res.statistic) and res.reject is None
     summary = pairwise_cq_procedure(DataStack(rng.standard_normal((6, 5, 3)) * 1e160))
     assert summary.failed_pairs == (0, 1, 2) and summary.reject is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflow_gives_failure_without_warnings():
+    # the failure string is the one report of an overflow; numpy's
+    # RuntimeWarnings would repeat it on stderr
+    rng = np.random.default_rng(66)
+    for scale in (1e100, 1e160):  # squared gram entries, then the gram itself
+        huge = DataStack(rng.standard_normal((8, 6, 4)) * scale)
+        res = mean_matrix_test(huge, GroupPartition.from_sizes((2, 2)))
+        assert res.failure == "non-finite estimate (floating-point overflow)"
+    res = chen_qin_two_sample(rng.standard_normal((6, 5)) * 1e160,
+                              rng.standard_normal((6, 5)) * 1e160)
+    assert res.failure == "non-finite estimate (floating-point overflow)"
+    summary = pairwise_cq_procedure(DataStack(rng.standard_normal((6, 5, 3)) * 1e160))
+    assert summary.failure == "every pair test failed"
 
 
 def test_chen_qin_input_validation():

@@ -28,6 +28,13 @@ def test_partition_from_labels_first_appearance_order():
     assert p.group_columns(1) == (0, 2)
 
 
+def test_partition_sizes_are_computed_once():
+    p = GroupPartition.from_labels([3, 1, 3, 2, 1, 3])
+    assert p.sizes == (3, 2, 1)
+    assert p.sizes is p.sizes
+    assert p == GroupPartition((1, 2, 1, 3, 2, 1))
+
+
 def test_partition_rejects_gapped_ids():
     with pytest.raises(ValueError, match="no gaps"):
         GroupPartition((1, 3))
@@ -197,3 +204,38 @@ def test_projection_matrix_accessors():
     assert good.n_cols == 4
     with pytest.raises(ValueError):
         good.values[0, 0] = 9.0  # read-only
+
+
+def _gather_apply(partition, x):
+    """Centering by gathering columns into group order and expanding the means."""
+    sizes = partition.sizes
+    labels = np.asarray(partition.assignment) - 1
+    order = np.argsort(labels, kind="stable")
+    starts = np.cumsum((0,) + sizes[:-1])
+    means = np.add.reduceat(x[..., order], starts, axis=-1) / sizes
+    return x - means[..., labels]
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [
+        GroupPartition.from_sizes((10,)),
+        GroupPartition.from_sizes((7, 3)),
+        GroupPartition.from_sizes((5, 2, 3)),
+        GroupPartition.from_labels([2, 1, 2, 3, 1, 1, 3, 2, 2, 1]),
+        GroupPartition.from_labels("abcabcabca"),
+    ],
+    ids=["one", "7-3", "5-2-3", "scattered", "cyclic"],
+)
+def test_projection_apply_equals_gather_expression_bytes(partition):
+    # groups that are runs of adjacent columns skip the gather; the
+    # sums and subtractions must be the same floating-point operations
+    rng = np.random.default_rng(23)
+    proj = ProjectionMatrix(partition)
+    for shape in ((6, 10), (4, 7, 10), (10, 100, 10)):
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
+        for arr in (x, np.asfortranarray(x)):
+            got = proj.apply(arr)
+            expected = _gather_apply(partition, arr)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()

@@ -208,13 +208,15 @@ def test_seed_values_are_large_nonnegative_ints():
             rng.standard_normal(3)
 
 
-# preset CSVs written at --reps 100 --seed 0 before the row-wise baselines
-# and stack generation were rewritten for speed; together they cover the
-# proposed, ANOVA, Kruskal-Wallis and pairwise Chen-Qin methods, the block
-# and Kronecker roots, and the normal, gamma and mixture noise draws
+# preset CSVs written at --reps 100 --seed 0 before the row-wise baselines,
+# stack generation and centering were rewritten for speed; together they
+# cover the proposed, ANOVA, Kruskal-Wallis and pairwise Chen-Qin methods,
+# the block and Kronecker roots, partitions of one, two and three groups,
+# and the normal, gamma and mixture noise draws
 GOLDEN_CSVS = (
     ("table1", "r=100,N=10", "preset_table1_r100_N10.csv"),
     ("table3", "scenario=gamma,r=100,N=10", "preset_table3_gamma_r100_N10.csv"),
+    ("table4", "r=10,c=100,N=10", "preset_table4_r10_c100_N10.csv"),
     ("table5", "scenario=normal,r=100,c=10,N=10", "preset_table5_normal_r100_c10_N10.csv"),
 )
 

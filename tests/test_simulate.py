@@ -358,20 +358,19 @@ def test_gen_stack_identity_equals_noise_plus_mean():
     assert np.allclose(stack.values, z + m, atol=1e-12)
 
 
-@pytest.mark.parametrize(
-    "covariance",
-    [
-        IdentityCovariance(),
-        KroneckerCovariance(Ar1Factor(6, 0.5), CompoundFactor(4)),
-        BlockDiagonalCovariance(tuple(Ar1Factor(6, 0.3) for _ in range(4))),
-        DenseCovariance(0.7 * np.eye(24) + 0.3 * np.ones((24, 24))),
-        CompoundCovariance(rho=0.2),
-    ],
-    ids=lambda cov: cov.to_dict()["kind"],
-)
+_ROOT_COVARIANCES = [
+    IdentityCovariance(),
+    KroneckerCovariance(Ar1Factor(6, 0.5), CompoundFactor(4)),
+    BlockDiagonalCovariance(tuple(Ar1Factor(6, 0.3) for _ in range(4))),
+    DenseCovariance(0.7 * np.eye(24) + 0.3 * np.ones((24, 24))),
+    CompoundCovariance(rho=0.2),
+]
+
+
+@pytest.mark.parametrize("covariance", _ROOT_COVARIANCES, ids=lambda cov: cov.to_dict()["kind"])
 def test_gen_stack_returns_read_only_c_ordered_stack(covariance):
-    # block and compound roots return transposed views; the stack must
-    # still hold one C-ordered array with the values of root(z) + mean
+    # block and compound roots work in the column-major vec layout; the
+    # stack must still hold one C-ordered array with the values of root(z) + mean
     cfg = _config(n_rows=6, covariance=covariance,
                   mean=RightBlockMean(zero_cols=2, effect_cols=2, target=0.2))
     stack = gen_stack(cfg, np.random.default_rng(84))
@@ -379,6 +378,49 @@ def test_gen_stack_returns_read_only_c_ordered_stack(covariance):
     expected = sqrt_factor(covariance, 6, 4).apply(z) + cfg.mean.build(6, 4, covariance)
     assert stack.values.flags.c_contiguous and not stack.values.flags.writeable
     assert stack.values.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("covariance", _ROOT_COVARIANCES, ids=lambda cov: cov.to_dict()["kind"])
+def test_root_apply_into_out_and_scratch_equals_fresh_apply(covariance):
+    root = sqrt_factor(covariance, 6, 4)
+    z = np.random.default_rng(86).standard_normal((8, 6, 4))
+    fresh = root.apply(z.copy())
+    scratch = [np.full(z.size, np.nan) for _ in range(root.scratch_count)]
+    into = np.full(z.shape, np.nan)
+    assert root.apply(z.copy(), out=into, scratch=scratch) is into
+    over = z.copy()
+    assert root.apply(over, out=over, scratch=scratch) is over
+    for got in (into, over):
+        assert got.tobytes() == np.ascontiguousarray(fresh).tobytes()
+
+
+@pytest.mark.parametrize("scenario", ["normal", "gamma", "mixture"])
+@pytest.mark.parametrize("covariance", _ROOT_COVARIANCES, ids=lambda cov: cov.to_dict()["kind"])
+def test_gen_stack_with_reused_buffers_equals_fresh_stacks(covariance, scenario):
+    cfg = _config(n_rows=6, covariance=covariance, scenario=NoiseScenario(scenario),
+                  mean=RightBlockMean(zero_cols=2, effect_cols=2, target=0.2))
+    root = sqrt_factor(covariance, 6, 4)
+    mean = cfg.mean.build(6, 4, covariance)
+    buffers = simulate.stack_buffers(cfg, root)
+    assert len(buffers) == 1 + root.scratch_count
+    assert all(b.size == 8 * 6 * 4 for b in buffers)
+    for k in range(4):
+        reused = gen_stack(cfg, replicate_rng(3, k), root=root, mean=mean, buffers=buffers)
+        fresh = gen_stack(cfg, replicate_rng(3, k))
+        assert np.shares_memory(reused.values, buffers[0])
+        assert not reused.values.flags.writeable and buffers[0].flags.writeable
+        assert reused.values.tobytes() == fresh.values.tobytes()
+
+
+@pytest.mark.parametrize("covariance", _ROOT_COVARIANCES, ids=lambda cov: cov.to_dict()["kind"])
+def test_gen_stack_without_buffers_returns_stacks_of_their_own(covariance):
+    cfg = _config(n_rows=6, covariance=covariance)
+    root = sqrt_factor(covariance, 6, 4)
+    a = gen_stack(cfg, np.random.default_rng(85), root=root)
+    b = gen_stack(cfg, np.random.default_rng(85), root=root)
+    assert not a.values.flags.writeable and not b.values.flags.writeable
+    assert not np.shares_memory(a.values, b.values)
+    assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_gen_stack_mean_recovery():
