@@ -250,6 +250,94 @@ def test_numeric_looking_long_header_still_long(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# error messages, byte for byte
+
+_LONG_HEAD = "subject_id,row_id,col_id,value\n"
+
+
+def _long_records(n_rows, n_cols, dup=None, ragged=None):
+    """Records s,r<a>,c<b>,1.0 for a < n_rows, b < n_cols, in row-major
+    order.  ``dup=(k, j)`` gives record k the cell of record j, and
+    ``ragged=k`` gives record k an extra field."""
+    cells = [(a, b) for a in range(n_rows) for b in range(n_cols)]
+    if dup is not None:
+        cells[dup[0]] = cells[dup[1]]
+    lines = [f"s,r{a},c{b},1.0" for a, b in cells]
+    if ragged is not None:
+        lines[ragged] += ",x"
+    return _LONG_HEAD + "\n".join(lines) + "\n"
+
+
+def _stack_rows(n_rows, ragged):
+    lines = ["1.0 2.0"] * n_rows
+    lines[ragged] = "1.0 2.0 3.0"
+    return f"1 {n_rows} 2\n" + "\n".join(lines) + "\n"
+
+
+_ERRORS = [
+    ("", "{path}:1: empty file"),
+    ("  \n1 1 1\n1.0\n", "{path}:1: empty file"),
+    ("2 0 3\n1 2 3\n", "{path}:1: header dimensions must be positive, got 2 0 3"),
+    ("2 2 2\n1 2\n3 4\n5 6\n",
+     "{path}: expected 4 value lines for header '2 2 2', found 3"),
+    (_LONG_HEAD + "\n  \n", "{path}: no data records after the header"),
+    ("subject_id,row,col_id,value\ns1,r1,c1,1.0\n",
+     "{path}:1: long-format header must name subject_id, row_id, col_id, value; "
+     "missing row_id"),
+    # line numbers count blank lines and CRLF, \v and \x85 line breaks
+    ("1 3 2\r\n\r\n1 2\r\n\r\n\r\n3 x\r\n5 6\r\n", "{path}:6: bad numeric value 'x'"),
+    ("subject_id,row_id,col_id,value\r\n\r\ns,r,c1,1\r\n\n\ns,r,c2,1,2\r\n",
+     "{path}:6: expected 4 fields, found 5"),
+    ("1 2 2\v1 2\x853 y\n", "{path}:3: bad numeric value 'y'"),
+    ("1 1 2\ninf 0.0\n", "{path}:2: non-finite value 'inf'"),
+    (_LONG_HEAD + "s,r,c,1.0\ns,r,d,-nan\n", "{path}:3: non-finite value '-nan'"),
+    (_LONG_HEAD + "s,r,c, oops \n", "{path}:2: bad numeric value 'oops'"),
+    ("1 1 2\n1 \0\n", "{path}:2: bad numeric value '\\x00'"),
+    (_LONG_HEAD + "s1,r1,c1,1.0\ns1,r1,c1,2.0\n",
+     "{path}:3: duplicate (subject_id, row_id, col_id) triple"),
+    (_LONG_HEAD + "s1,r1,c1,1.0\ns1,r1,c2,2.0\ns2,r1,c1,3.0\n",
+     "{path}: incomplete grid: 1 of 4 (subject, row, col) cells missing"),
+    # later 64k-value blocks: record 68000 repeats record 5's cell, and a
+    # ragged line sits past the first block of each format
+    (_long_records(700, 100, dup=(68000, 5)),
+     "{path}:68002: duplicate (subject_id, row_id, col_id) triple"),
+    (_long_records(700, 100, ragged=66000), "{path}:66002: expected 4 fields, found 5"),
+    (_stack_rows(40000, ragged=35000), "{path}:35002: expected 2 values, found 3"),
+]
+
+
+@pytest.mark.parametrize("text, message", _ERRORS)
+def test_load_errors_are_pinned_byte_for_byte(tmp_path, text, message):
+    path = tmp_path / "data.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError) as exc:
+        load_stack(str(path))
+    assert str(exc.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("text, shape, message", [
+    ("1 2\n\n3 x\n", (2, 2), "{path}:3: bad numeric value 'x'"),
+    ("1 2\n3\n", (2, 2), "{path}:2: expected 2 values, found 1"),
+    ("1 2\n", (2, 2), "{path}: expected 2 lines, found 1"),
+])
+def test_matrix_errors_are_pinned_byte_for_byte(tmp_path, text, shape, message):
+    path = tmp_path / "m0.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValueError) as exc:
+        read_matrix_file(str(path), *shape)
+    assert str(exc.value) == message.format(path=path)
+
+
+def test_nul_in_a_long_id_is_part_of_the_id(tmp_path):
+    path = tmp_path / "nul_id.csv"
+    path.write_bytes(b"subject_id,row_id,col_id,value\ns\0,r,c,1.5\ns\0,r,d\0,2.5\n")
+    loaded = load_stack(str(path))
+    assert (loaded.subject_ids, loaded.row_ids, loaded.col_ids) == (
+        ("s\0",), ("r",), ("c", "d\0"))
+    assert loaded.stack.values.ravel().tolist() == [1.5, 2.5]
+
+
+# ---------------------------------------------------------------------------
 # fast path and line parser
 
 
