@@ -14,31 +14,34 @@ The delimiter (tab or comma) is detected from the header line; stack-format
 value lines additionally accept runs of spaces.  Values are written with
 ``repr`` so a write/read round trip is bit-exact.
 
-Data files and ``--m0`` matrices are read by a fast path first.  It takes
-the nonblank lines in blocks of about 64k values and splits each block
-into strings only: the block's lines are joined with a NUL field between
-them and split once, on the delimiter (long format) or on commas and
+Data files and ``--m0`` matrices are read by one block parser per format.
+It takes the nonblank lines in blocks of about 64k values and splits each
+block into strings only: the block's lines are joined with a separator
+field between them (a newline for long format, a NUL for stack values)
+and split once, on the delimiter (long format) or on commas and
 whitespace (stack values).  A line with the wrong field count moves the
-NUL fields out of their stride, so one list count checks every line.
-Values go through the same ``float()`` as the line parser, so the bits
-are identical.  The nonblank line count is compared with the stack
-header before anything is allocated; finiteness, duplicates and holes
-are checked with numpy, and long-format ids are numbered in
-first-appearance order through dicts.  The block size is fixed on
-purpose: a list per line leaves millions of objects to the cyclic
-garbage collector, and one split of the whole file holds every field
-string at once.
+separator fields out of their stride, so one list count checks every
+line.  Values go through the ``float()`` of ``_parse_value``, so the bits
+are those of a line-by-line read.  The block size is fixed on purpose: a
+list per line leaves millions of objects to the cyclic garbage
+collector, and one split of the whole file holds every field string at
+once.
 
-The fast path returns None on any irregularity, and the line parser then
-reads the same lines one at a time.  It accepts what the fast path only
-declines (ids padded with spaces) and raises the exact
-``path:line: message`` for everything else.
+A declined block means some line is bad, and the body is scanned again
+from its first line to raise the exact ``path:line: message`` of the
+first bad one.  The nonblank line count is compared with the stack
+header, and the long-format record count with the grid size, before
+anything of the grid's size is allocated.  Long-format ids are numbered
+in first-appearance order through dicts, by their spelling stripped of
+surrounding whitespace, so padded spellings name one id; duplicates and
+holes are found with numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -54,7 +57,7 @@ __all__ = [
 ]
 
 _LONG_HEADER = ("subject_id", "row_id", "col_id", "value")
-_BLOCK_VALUES = 1 << 16  # values per fast-path block; see the module docstring
+_BLOCK_VALUES = 1 << 16  # values per block; see the module docstring
 
 
 @dataclass(frozen=True)
@@ -106,16 +109,6 @@ def _stack_header(path, line: str) -> tuple[int, int, int]:
     return n, r, c
 
 
-def _stacked(values: np.ndarray, n: int, r: int, c: int) -> LoadedStack:
-    return LoadedStack(
-        stack=DataStack(values.reshape(n, r, c)),
-        subject_ids=tuple(str(i) for i in range(1, n + 1)),
-        row_ids=tuple(str(i) for i in range(1, r + 1)),
-        col_ids=tuple(str(i) for i in range(1, c + 1)),
-        source_format="stack",
-    )
-
-
 def _long_header(path, line: str) -> tuple[str, dict[str, int], int]:
     """Delimiter, column position of each required name, and field count."""
     delim = _detect_delimiter(line)
@@ -134,39 +127,38 @@ def load_stack(path: str) -> LoadedStack:
         raise ValueError(f"{path}:1: empty file")
     head_tokens = lines[0].replace(",", " ").replace("\t", " ").split()
     if len(head_tokens) == 3 and all(t.isdigit() for t in head_tokens):
-        fast, by_line = _fast_stack_format, _load_stack_format
-    else:
-        fast, by_line = _fast_long_format, _load_long_format
-    loaded = fast(path, lines)
-    return by_line(path, lines) if loaded is None else loaded
+        return _parse_stack_format(path, lines)
+    return _parse_long_format(path, lines)
 
 
-# ---------------------------------------------------------------------------
-# fast path: None on any irregularity past the header line
+def _split(text: str, delim: str | None) -> list[str]:
+    # delim=None splits like a stack value line: on commas and whitespace
+    return text.replace(",", " ").split() if delim is None else text.split(delim)
 
 
 def _block_fields(block: list[str], width: int, delim: str | None) -> list[str] | None:
-    """The fields of ``block``'s lines in one flat list, with one NUL field
-    between lines; None unless every line has exactly ``width`` fields.
+    """The fields of ``block``'s lines in one flat list, with one separator
+    field between lines; None unless every line has exactly ``width`` fields.
 
-    ``delim=None`` splits like a stack value line (commas and whitespace).
+    Long-format lines are separated by a newline field, which no line can
+    hold.  Stack values are separated by a NUL field: a NUL of the file's
+    own is then a bad value wherever it lands, so the block is declined.
     """
-    joined = (" \0 " if delim is None else f"{delim}\0{delim}").join(block)
-    if joined.count("\0") != len(block) - 1:
-        return None  # a line holds a NUL of its own
-    fields = joined.replace(",", " ").split() if delim is None else joined.split(delim)
-    # the NULs are then the only NUL fields, and they fill the slots of a
-    # width + 1 stride exactly when every line has width fields
+    sep = "\0" if delim is None else "\n"
+    pad = " " if delim is None else delim
+    fields = _split(f"{pad}{sep}{pad}".join(block), delim)
+    # the separators fill the slots of a width + 1 stride exactly when
+    # every line has width fields
     stride = width + 1
     if len(fields) != len(block) * stride - 1:
         return None
-    if fields[width::stride].count("\0") != len(block) - 1:
+    if fields[width::stride].count(sep) != len(block) - 1:
         return None
     return fields
 
 
 def _floats(tokens: list[str]) -> np.ndarray | None:
-    # the float() of _parse_value, so the bits are the line parser's
+    # the float() of _parse_value, so a declined block fails the same way
     try:
         values = np.fromiter(map(float, tokens), float, len(tokens))
     except ValueError:
@@ -174,155 +166,129 @@ def _floats(tokens: list[str]) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _parse_rows(body: list[str], n_cols: int) -> np.ndarray | None:
-    """Nonblank value lines as a (len(body), n_cols) array."""
+def _first_bad_line(path, lines, start: int, width: int, delim: str | None,
+                    value_of: slice = slice(None)) -> NoReturn:
+    """Raise the error of the first bad nonblank line of ``lines[start:]``.
+
+    Called when a block is declined.  Each line is checked for its field
+    count, then each field in ``value_of`` for a finite number.
+    """
+    noun = "values" if delim is None else "fields"
+    for line_no, raw in enumerate(itertools.islice(lines, start, None), start=start + 1):
+        if not raw.strip():
+            continue
+        tokens = _split(raw, delim)
+        if len(tokens) != width:
+            _fail(path, line_no, f"expected {width} {noun}, found {len(tokens)}")
+        for token in tokens[value_of]:
+            _parse_value(token.strip(), path, line_no)
+    raise AssertionError(f"{path}: a block was declined but no line is bad")
+
+
+def _parse_rows(path, lines, start: int, body: list[str], n_cols: int) -> np.ndarray:
+    """``body``, the nonblank lines of ``lines[start:]``, as a
+    (len(body), n_cols) array of values."""
     step = max(1, _BLOCK_VALUES // n_cols)
     parts = []
     for k in range(0, len(body), step):
         fields = _block_fields(body[k:k + step], n_cols, None)
-        if fields is None:
-            return None
-        del fields[n_cols::n_cols + 1]
-        values = _floats(fields)
+        values = None
+        if fields is not None:
+            del fields[n_cols::n_cols + 1]
+            values = _floats(fields)
         if values is None:
-            return None
+            _first_bad_line(path, lines, start, n_cols, None)
         parts.append(values)
     return np.concatenate(parts or [np.empty(0)]).reshape(len(body), n_cols)
 
 
-def _fast_stack_format(path, lines) -> LoadedStack | None:
+def _parse_stack_format(path, lines) -> LoadedStack:
     n, r, c = _stack_header(path, lines[0])
     body = _nonblank(lines, 1)
     if len(body) != n * r:  # checked before anything of size n*r*c exists
-        return None
-    values = _parse_rows(body, c)
-    return None if values is None else _stacked(values, n, r, c)
+        raise ValueError(
+            f"{path}: expected {n * r} value lines for header '{n} {r} {c}', "
+            f"found {len(body)}"
+        )
+    return LoadedStack(
+        stack=DataStack(_parse_rows(path, lines, 1, body, c).reshape(n, r, c)),
+        subject_ids=tuple(str(i) for i in range(1, n + 1)),
+        row_ids=tuple(str(i) for i in range(1, r + 1)),
+        col_ids=tuple(str(i) for i in range(1, c + 1)),
+        source_format="stack",
+    )
 
 
-class _FirstSeen(dict):
-    """Id -> index, numbered in order of first lookup."""
+class _Ids(dict):
+    """Raw id -> index of the id stripped of surrounding whitespace, so
+    padded spellings of one id share its index.  ``names`` holds the
+    stripped ids, numbered in order of first lookup."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: dict[str, int] = {}
 
     def __missing__(self, key: str) -> int:
-        self[key] = code = len(self)
+        self[key] = code = self.names.setdefault(key.strip(), len(self.names))
         return code
 
 
-def _fast_long_format(path, lines) -> LoadedStack | None:
+def _first_duplicate(cells: list[np.ndarray]) -> int | None:
+    """Index of the first record whose (subject, row, col) cell an earlier
+    record already holds, or None."""
+    order = np.lexsort(cells[::-1])  # stable, so equal cells keep record order
+    repeat = np.ones(len(order) - 1, dtype=bool)
+    for codes in cells:
+        ordered = codes[order]
+        repeat &= ordered[1:] == ordered[:-1]
+    return int(order[1:][repeat].min()) if repeat.any() else None
+
+
+def _parse_long_format(path, lines) -> LoadedStack:
     delim, pos, width = _long_header(path, lines[0])
     body = _nonblank(lines, 1)
+    if not body:
+        raise ValueError(f"{path}: no data records after the header")
     stride = width + 1
-    indexes = (_FirstSeen(), _FirstSeen(), _FirstSeen())
+    value_col = pos["value"]
+    indexes = (_Ids(), _Ids(), _Ids())
     codes: tuple[list[np.ndarray], ...] = ([], [], [])
     parts = []
     for k in range(0, len(body), _BLOCK_VALUES):
         fields = _block_fields(body[k:k + _BLOCK_VALUES], width, delim)
-        if fields is None:
-            return None
-        values = _floats(fields[pos["value"]::stride])
+        values = None if fields is None else _floats(fields[value_col::stride])
         if values is None:
-            return None
+            _first_bad_line(path, lines, 1, width, delim, slice(value_col, value_col + 1))
         parts.append(values)
         for name, index, out in zip(_LONG_HEADER[:3], indexes, codes):
             keys = fields[pos[name]::stride]
             out.append(np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)))
-    n, r, c = map(len, indexes)
-    # the line parser strips ids; holes and duplicates are its to name
-    if not body or len(body) != n * r * c or any(
-        key != key.strip() for index in indexes for key in index
-    ):
-        return None
-    flat = np.concatenate(codes[0]).astype(np.intp)
-    for size, out in ((r, codes[1]), (c, codes[2])):
-        flat *= size
-        flat += np.concatenate(out)
-    values = np.full(n * r * c, np.nan)
-    values[flat] = np.concatenate(parts)
-    if np.isnan(values).any():  # a duplicate, so also a hole
-        return None
-    return LoadedStack(
-        stack=DataStack(values.reshape(n, r, c)),
-        subject_ids=tuple(indexes[0]),
-        row_ids=tuple(indexes[1]),
-        col_ids=tuple(indexes[2]),
-        source_format="long",
-    )
-
-
-# ---------------------------------------------------------------------------
-# line parser: reads what the fast path declines, or names the bad line
-
-
-def _rows_by_line(path, lines, start: int, n_rows: int, n_cols: int) -> np.ndarray:
-    """The n_rows nonblank value lines of ``lines[start:]``, one at a time."""
-    out = None
-    k = 0
-    for line_no, raw in enumerate(lines[start:], start=start + 1):
-        if not raw.strip():
-            continue
-        tokens = raw.replace(",", " ").replace("\t", " ").split()
-        if len(tokens) != n_cols:
-            _fail(path, line_no, f"expected {n_cols} values, found {len(tokens)}")
-        if out is None:  # a mistyped header fails here, not in np.empty
-            out = np.empty((n_rows, n_cols), dtype=float)
-        for j, tok in enumerate(tokens):
-            out[k, j] = _parse_value(tok, path, line_no)
-        k += 1
-    return out
-
-
-def _load_stack_format(path, lines) -> LoadedStack:
-    n, r, c = _stack_header(path, lines[0])
-    n_body = len(_nonblank(lines, 1))
-    if n_body != n * r:
-        raise ValueError(
-            f"{path}: expected {n * r} value lines for header '{n} {r} {c}', "
-            f"found {n_body}"
-        )
-    return _stacked(_rows_by_line(path, lines, 1, n * r, c), n, r, c)
-
-
-def _load_long_format(path, lines) -> LoadedStack:
-    delim, pos, n_fields = _long_header(path, lines[0])
-
-    subj_index: dict[str, int] = {}
-    row_index: dict[str, int] = {}
-    col_index: dict[str, int] = {}
-    records = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        fields = [t.strip() for t in raw.split(delim)]
-        if len(fields) != n_fields:
-            _fail(path, line_no, f"expected {n_fields} fields, found {len(fields)}")
-        sid = fields[pos["subject_id"]]
-        rid = fields[pos["row_id"]]
-        cid = fields[pos["col_id"]]
-        value = _parse_value(fields[pos["value"]], path, line_no)
-        for key, index in ((sid, subj_index), (rid, row_index), (cid, col_index)):
-            if key not in index:
-                index[key] = len(index)
-        records.append((line_no, subj_index[sid], row_index[rid], col_index[cid], value))
-
-    n, r, c = len(subj_index), len(row_index), len(col_index)
-    if not records:
-        raise ValueError(f"{path}: no data records after the header")
-    values = np.full((n, r, c), np.nan)
-    for line_no, i, a, b, value in records:
-        if not np.isnan(values[i, a, b]):
-            _fail(path, line_no, "duplicate (subject_id, row_id, col_id) triple")
-        values[i, a, b] = value
-    holes = int(np.isnan(values).sum())
-    if holes:
-        raise ValueError(
-            f"{path}: incomplete grid: {holes} of {n * r * c} "
-            f"(subject, row, col) cells missing"
-        )
-    return LoadedStack(
-        stack=DataStack(values),
-        subject_ids=tuple(subj_index),
-        row_ids=tuple(row_index),
-        col_ids=tuple(col_index),
-        source_format="long",
+    n, r, c = (len(index.names) for index in indexes)
+    n_cells = n * r * c
+    if len(body) == n_cells:  # else the grid is not allocated: it cannot be complete
+        flat = np.concatenate(codes[0]).astype(np.intp)
+        for size, out in ((r, codes[1]), (c, codes[2])):
+            flat *= size
+            flat += np.concatenate(out)
+        values = np.full(n_cells, np.nan)
+        values[flat] = np.concatenate(parts)
+        if not np.isnan(values).any():
+            return LoadedStack(
+                stack=DataStack(values.reshape(n, r, c)),
+                subject_ids=tuple(indexes[0].names),
+                row_ids=tuple(indexes[1].names),
+                col_ids=tuple(indexes[2].names),
+                source_format="long",
+            )
+    dup = _first_duplicate([np.concatenate(out) for out in codes])
+    if dup is not None:
+        nonblank = (no for no, raw in enumerate(itertools.islice(lines, 1, None), start=2)
+                    if raw.strip())
+        _fail(path, next(itertools.islice(nonblank, dup, None)),
+              "duplicate (subject_id, row_id, col_id) triple")
+    raise ValueError(
+        f"{path}: incomplete grid: {n_cells - len(body)} of {n_cells} "
+        f"(subject, row, col) cells missing"
     )
 
 
@@ -342,8 +308,7 @@ def read_matrix_file(path: str, n_rows: int, n_cols: int) -> np.ndarray:
     body = _nonblank(lines)
     if len(body) != n_rows:
         raise ValueError(f"{path}: expected {n_rows} lines, found {len(body)}")
-    values = _parse_rows(body, n_cols)
-    return _rows_by_line(path, lines, 0, n_rows, n_cols) if values is None else values
+    return _parse_rows(path, lines, 0, body, n_cols)
 
 
 def read_vector_file(path: str, length: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matmean import io
+from matmean.cli import main
 from matmean.core import DataStack
 from matmean.io import (
     load_stack,
@@ -141,6 +142,20 @@ def test_long_format_duplicate_triple_reports_line(tmp_path):
     )
     with pytest.raises(ValueError, match=r"dup\.csv:3: duplicate"):
         load_stack(str(path))
+
+
+def test_long_format_names_the_first_duplicate(tmp_path):
+    # record 3 repeats cell B before record 4 or 5 repeats cell A; equal.csv
+    # has as many records as grid cells, the other two have more
+    head = "subject_id,row_id,col_id,value\n"
+    a, b, c, d = "s1,r1,c1", "s1,r2,c1", "s2,r1,c1", "s2,r2,c1"
+    for name, cells in (("equal.csv", [a, b, c, b]), ("more.csv", [a, b, c, b, a]),
+                        ("full.csv", [a, b, c, b, d, a])):
+        path = tmp_path / name
+        path.write_text(head + "".join(f"{cell},1.0\n" for cell in cells))
+        with pytest.raises(ValueError) as exc:
+            load_stack(str(path))
+        assert str(exc.value) == f"{path}:5: duplicate (subject_id, row_id, col_id) triple"
 
 
 def test_long_format_incomplete_grid_counts_holes(tmp_path):
@@ -338,7 +353,7 @@ def test_nul_in_a_long_id_is_part_of_the_id(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# fast path and line parser
+# the block parser
 
 
 def test_stack_blank_line_is_decided_on_the_raw_line(tmp_path):
@@ -361,6 +376,26 @@ def test_stack_counts_are_checked_before_allocating(tmp_path):
         load_stack(str(path))
 
 
+def _distinct_id_records(path, n_records):
+    with open(path, "w") as fh:
+        fh.write("subject_id,row_id,col_id,value\n")
+        fh.writelines(f"s{k},r{k},c{k},1.0\n" for k in range(n_records))
+
+
+def test_long_grid_is_checked_before_allocating(tmp_path, capsys):
+    # 30000 distinct ids per column would make a grid of 2.16e14 bytes;
+    # the record count shows it incomplete without allocating it
+    path = tmp_path / "distinct.csv"
+    _distinct_id_records(path, 30000)
+    with pytest.raises(ValueError) as exc:
+        load_stack(str(path))
+    assert str(exc.value) == (f"{path}: incomplete grid: 26999999970000 of 27000000000000 "
+                              "(subject, row, col) cells missing")
+    assert main(["test", str(path), "--partition", "sizes=30000"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {exc.value}\n"
+
+
 def test_field_counts_are_checked_per_line(tmp_path):
     # a long line and a short line add up to the right total
     stack = tmp_path / "ragged.txt"
@@ -375,8 +410,12 @@ def test_field_counts_are_checked_per_line(tmp_path):
 
 
 def test_nul_in_a_line_is_not_taken_for_a_line_break(tmp_path):
-    # the fast path puts a NUL field between lines; a NUL field of the
-    # file's own must not pass for one
+    # the block parser puts a NUL field between stack lines; a NUL field of
+    # the file's own, even one in a separator's slot, must not pass for one
+    path = tmp_path / "nul.txt"
+    path.write_text("1 2 2\n1 2 \0\n4\n")
+    with pytest.raises(ValueError, match=r"nul\.txt:2: expected 2 values, found 3"):
+        load_stack(str(path))
     path = tmp_path / "nul.csv"
     path.write_text("subject_id,row_id,col_id,value,note\ns1,r1,c1,1.0\n\0,s1,r1,c2,2.0,y\n")
     with pytest.raises(ValueError, match=r"nul\.csv:2: expected 5 fields, found 4"):
@@ -384,12 +423,10 @@ def test_nul_in_a_line_is_not_taken_for_a_line_break(tmp_path):
 
 
 def test_clean_files_never_fall_back(tmp_path, monkeypatch):
-    def refuse(path, lines):
-        raise AssertionError("line parser ran on a clean file")
+    def refuse(*args):
+        raise AssertionError("a clean file was scanned for a bad line")
 
-    monkeypatch.setattr(io, "_load_stack_format", refuse)
-    monkeypatch.setattr(io, "_load_long_format", refuse)
-    monkeypatch.setattr(io, "_rows_by_line", refuse)
+    monkeypatch.setattr(io, "_first_bad_line", refuse)
     rng = np.random.default_rng(19)
     values = rng.standard_normal((3, 700, 40))  # several blocks of 64k values
     stack_path = tmp_path / "clean.txt"
@@ -405,21 +442,25 @@ def test_clean_files_never_fall_back(tmp_path, monkeypatch):
                           np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
 
 
-def _same_load(path):
-    """Run the fast path and the line parser on one file; both must agree."""
-    lines = io._read_lines(str(path))
-    if len(lines[0].replace(",", " ").split()) == 3:
-        fast, by_line = io._fast_stack_format, io._load_stack_format
-    else:
-        fast, by_line = io._fast_long_format, io._load_long_format
-    a, b = fast(str(path), lines), by_line(str(path), lines)
-    assert a is not None, "fast path declined a clean file"
-    assert a.stack.values.tobytes() == b.stack.values.tobytes()
-    assert a.stack.values.shape == b.stack.values.shape
-    assert (a.subject_ids, a.row_ids, a.col_ids, a.source_format) == (
-        b.subject_ids, b.row_ids, b.col_ids, b.source_format)
-    assert load_stack(str(path)).stack.values.tobytes() == a.stack.values.tobytes()
-    return a
+def _first_appearance(ids, order, position_of):
+    """The ids of one long-format column, and their positions in ``ids``,
+    in first-appearance order over the flat cells ``order``;
+    ``position_of`` turns a flat cell into its id's position."""
+    seen = list(dict.fromkeys(position_of(k) for k in order))
+    return tuple(ids[k] for k in seen), seen
+
+
+def _assert_long_load(path, values, subj_ids, row_ids, col_ids, order):
+    """The loaded ids are the written ids in first-appearance order over
+    the shuffled records, and each value sits in its cell, bit for bit."""
+    n, r, c = values.shape
+    loaded = load_stack(str(path))
+    subj, s = _first_appearance(subj_ids, order, lambda k: k // (r * c))
+    rows, a = _first_appearance(row_ids, order, lambda k: k // c % r)
+    cols, b = _first_appearance(col_ids, order, lambda k: k % c)
+    assert (loaded.subject_ids, loaded.row_ids, loaded.col_ids, loaded.source_format) == (
+        subj, rows, cols, "long")
+    assert loaded.stack.values.tobytes() == values[np.ix_(s, a, b)].tobytes()
 
 
 def test_fast_path_matches_line_parser_on_random_shapes(tmp_path):
@@ -429,15 +470,18 @@ def test_fast_path_matches_line_parser_on_random_shapes(tmp_path):
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
         path = tmp_path / f"s{k}.txt"
         write_stack_file(str(path), DataStack(values))
-        assert np.array_equal(_same_load(path).stack.values, values)
+        loaded = load_stack(str(path))
+        assert loaded.source_format == "stack"
+        assert loaded.stack.values.shape == shape
+        assert loaded.stack.values.tobytes() == values.tobytes()
         n, r, c = shape
         order = rng.permutation(n * r * c)
+        ids = ([f"s{i}" for i in range(n)], [f"r{a}" for a in range(r)],
+               [f"c{b}" for b in range(c)])
         for delim, suffix in (("\t", "tsv"), (",", "csv")):
             path = tmp_path / f"l{k}.{suffix}"
-            _write_long(str(path), values, [f"s{i}" for i in range(n)],
-                        [f"r{a}" for a in range(r)], [f"c{b}" for b in range(c)],
-                        delim=delim, order=list(order))
-            _same_load(path)
+            _write_long(str(path), values, *ids, delim=delim, order=list(order))
+            _assert_long_load(path, values, *ids, order)
 
 
 def test_fast_path_matches_line_parser_on_layout_variants(tmp_path):
@@ -448,32 +492,43 @@ def test_fast_path_matches_line_parser_on_layout_variants(tmp_path):
                      b"\r\n"
                      b"c,3.5,t1,m1,g1,z\r\n"
                      b"d,4.5,t0,m1,g1,w\r\n")
-    loaded = _same_load(crlf)
-    assert loaded.subject_ids == ("m2", "m1")
-    assert loaded.col_ids == ("t1", "t0")
+    loaded = load_stack(str(crlf))
+    assert (loaded.subject_ids, loaded.row_ids, loaded.col_ids) == (
+        ("m2", "m1"), ("g1",), ("t1", "t0"))
+    assert loaded.stack.values.tolist() == [[[1.5, 2.5]], [[3.5, 4.5]]]
     stack = tmp_path / "crlf.txt"
     stack.write_bytes(b"2 1 2\r\n1 2\r\n   \r\n3,\t4,\r\n")
-    assert _same_load(stack).stack.values.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
+    loaded = load_stack(str(stack))
+    assert loaded.stack.values.tolist() == [[[1.0, 2.0]], [[3.0, 4.0]]]
 
 
 def test_fast_path_matches_line_parser_on_float_spellings(tmp_path):
     tokens = ["1_0", "+.5", "-0.0", "5e-324", "1E3", "-1.5e+2", "7.", "00.25"]
+    expected = np.array([float(t) for t in tokens])
     path = tmp_path / "tokens.txt"
     path.write_text(f"1 1 {len(tokens)}\n" + " ".join(tokens) + "\n")
-    assert _same_load(path).stack.values.ravel().tolist() == [float(t) for t in tokens]
-    assert np.signbit(load_stack(str(path)).stack.values[0, 0, 2])
+    assert load_stack(str(path)).stack.values.ravel().tobytes() == expected.tobytes()
     long = tmp_path / "tokens.csv"
     long.write_text("subject_id,row_id,col_id,value\n" + "".join(
         f"s,r,c{k},{t}\n" for k, t in enumerate(tokens + [" 1.5 "])))
-    assert _same_load(long).stack.values.ravel().tolist() == [
-        float(t) for t in tokens + [" 1.5 "]]
+    loaded = load_stack(str(long))
+    assert loaded.col_ids == tuple(f"c{k}" for k in range(len(tokens) + 1))
+    assert loaded.stack.values.ravel().tobytes() == np.append(expected, 1.5).tobytes()
 
 
-def test_padded_ids_are_read_by_the_line_parser(tmp_path):
+def test_padded_ids_name_one_id_across_blocks(tmp_path):
+    # 80000 records, so two blocks of 64k.  Row "b" is spelled " b" in both
+    # blocks and "b" or "b " only in the second; row b's column ids are
+    # padded.  Each id is one id, numbered at its first appearance.
+    n_cols = 40000
     path = tmp_path / "padded.csv"
-    path.write_text("subject_id,row_id,col_id,value\ns1 ,r1,c1,1.0\ns1 ,r1, c2,2.0\n")
-    lines = io._read_lines(str(path))
-    assert io._fast_long_format(str(path), lines) is None
+    with open(path, "w") as fh:
+        fh.write("subject_id,row_id,col_id,value\n")
+        fh.writelines(f"s,a,c{k},{k}.0\n" for k in range(n_cols))
+        spellings = [" b"] * 30000 + ["b", "b "] * 5000
+        fh.writelines(f"s,{row}, c{k}\t,-{k}.0\n" for k, row in enumerate(spellings))
     loaded = load_stack(str(path))
-    assert (loaded.subject_ids, loaded.col_ids) == (("s1",), ("c1", "c2"))
-    assert loaded.stack.values.ravel().tolist() == [1.0, 2.0]
+    assert (loaded.subject_ids, loaded.row_ids) == (("s",), ("a", "b"))
+    assert loaded.col_ids == tuple(f"c{k}" for k in range(n_cols))
+    k = np.arange(n_cols, dtype=float)
+    assert loaded.stack.values.tolist() == [[k.tolist(), (-k).tolist()]]
