@@ -14,34 +14,37 @@ The delimiter (tab or comma) is detected from the header line; stack-format
 value lines additionally accept runs of spaces.  Values are written with
 ``repr`` so a write/read round trip is bit-exact.
 
-Data files and ``--m0`` matrices are read by one block parser per format.
-It takes the nonblank lines in blocks of about 64k values and splits each
-block into strings only: the block's lines are joined with a separator
-field between them (a newline for long format, a NUL for stack values)
-and split once, on the delimiter (long format) or on commas and
-whitespace (stack values).  A line with the wrong field count moves the
-separator fields out of their stride, so one list count checks every
-line.  Values go through the ``float()`` of ``_parse_value``, so the bits
-are those of a line-by-line read.  The block size is fixed on purpose: a
-list per line leaves millions of objects to the cyclic garbage
-collector, and one split of the whole file holds every field string at
-once.
+Every reader takes its lines from one source, ``_lines``.  It reads the
+text in chunks of ``_CHUNK_CHARS`` characters, splits each chunk at the
+line breaks of ``str.splitlines`` and carries the chunk's unfinished last
+line into the next one, so no reader holds a whole file's lines.  Data
+files and ``--m0`` matrices take their nonblank lines from it in blocks
+of about 64k values.  A block's lines are joined with a separator field
+between them (a newline for long format, a NUL for stack values) and
+split once, on the delimiter or on commas and whitespace.  A line with
+the wrong field count moves the separators out of their stride, so one
+list count checks every line.  Values go through the ``float()`` of
+``_parse_value``, so the bits are those of a line-by-line read.  The
+block size is fixed: a list per line leaves millions of objects to the
+cyclic garbage collector, and one split of a whole file holds every
+field string at once.
 
-A declined block means some line is bad, and the body is scanned again
-from its first line to raise the exact ``path:line: message`` of the
-first bad one.  The nonblank line count is compared with the stack
-header, and the long-format record count with the grid size, before
-anything of the grid's size is allocated.  Long-format ids are numbered
-in first-appearance order through dicts, by their spelling stripped of
-surrounding whitespace, so padded spellings name one id; duplicates and
-holes are found with numpy.
+Only an error makes a reader read the file again from the start: a
+declined block, to raise the exact ``path:line: message`` of the first
+bad line (for stack files and ``--m0`` matrices a wrong nonblank line
+count first), or a duplicate long-format record, to name its line.  The
+parsed values grow with the lines read, so nothing is sized by a stack
+header, and the long-format grid is allocated only when the record count
+equals its size.  Long-format ids are numbered in first-appearance order
+through dicts, by their spelling stripped of surrounding whitespace, so
+padded spellings name one id; duplicates and holes are found with numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -58,6 +61,8 @@ __all__ = [
 
 _LONG_HEADER = ("subject_id", "row_id", "col_id", "value")
 _BLOCK_VALUES = 1 << 16  # values per block; see the module docstring
+_CHUNK_CHARS = 1 << 16  # characters per read; see the module docstring
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # those of str.splitlines
 
 
 @dataclass(frozen=True)
@@ -75,16 +80,26 @@ def _fail(path, line_no, message):
     raise ValueError(f"{path}:{line_no}: {message}")
 
 
-def _detect_delimiter(header: str) -> str:
-    # Tab wins when present: comma-free TSV headers and tabbed CSV exports
-    # both resolve correctly, and mixing the two in one file is rejected
-    # later by the field-count check.
-    return "\t" if "\t" in header else ","
+def _lines(path) -> Iterator[str]:
+    """The lines of ``path`` as ``str.splitlines`` gives them, read in chunks."""
+    with open(path, encoding="utf-8") as fh:
+        carry = ""
+        try:
+            while chunk := fh.read(_CHUNK_CHARS):
+                lines = (carry + chunk).splitlines()
+                carry = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
+                yield from lines
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text") from None
+    if carry:
+        yield carry
 
 
-def _read_lines(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read().splitlines()
+def _numbered(path, start: int) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each nonblank line of ``path`` past line ``start``."""
+    numbered = itertools.islice(enumerate(_lines(path), 1), start, None)
+    # decided on the raw line, so a stack line ",," is a value line
+    return ((no, raw) for no, raw in numbered if raw.strip())
 
 
 def _parse_value(token: str, path, line_no) -> float:
@@ -97,11 +112,6 @@ def _parse_value(token: str, path, line_no) -> float:
     return value
 
 
-def _nonblank(lines: list[str], start: int = 0) -> list[str]:
-    # decided on the raw line, so a stack line ",," is a value line
-    return list(filter(str.strip, itertools.islice(lines, start, None)))
-
-
 def _stack_header(path, line: str) -> tuple[int, int, int]:
     n, r, c = (int(t) for t in line.replace(",", " ").replace("\t", " ").split())
     if min(n, r, c) < 1:
@@ -111,7 +121,10 @@ def _stack_header(path, line: str) -> tuple[int, int, int]:
 
 def _long_header(path, line: str) -> tuple[str, dict[str, int], int]:
     """Delimiter, column position of each required name, and field count."""
-    delim = _detect_delimiter(line)
+    # Tab wins when present: comma-free TSV headers and tabbed CSV exports
+    # both resolve correctly, and mixing the two in one file is rejected
+    # later by the field-count check.
+    delim = "\t" if "\t" in line else ","
     header = [t.strip() for t in line.split(delim)]
     missing = [name for name in _LONG_HEADER if name not in header]
     if missing:
@@ -122,13 +135,14 @@ def _long_header(path, line: str) -> tuple[str, dict[str, int], int]:
 
 def load_stack(path: str) -> LoadedStack:
     """Load a data file in either supported format, detected from line 1."""
-    lines = _read_lines(path)
-    if not lines or not lines[0].strip():
+    lines = _lines(path)
+    head = next(lines, "")
+    if not head.strip():
         raise ValueError(f"{path}:1: empty file")
-    head_tokens = lines[0].replace(",", " ").replace("\t", " ").split()
-    if len(head_tokens) == 3 and all(t.isdigit() for t in head_tokens):
-        return _parse_stack_format(path, lines)
-    return _parse_long_format(path, lines)
+    head_tokens = head.replace(",", " ").replace("\t", " ").split()
+    if len(head_tokens) == 3 and all(t.isdecimal() for t in head_tokens):
+        return _parse_stack_format(path, head, lines)
+    return _parse_long_format(path, head, lines)
 
 
 def _split(text: str, delim: str | None) -> list[str]:
@@ -150,9 +164,8 @@ def _block_fields(block: list[str], width: int, delim: str | None) -> list[str] 
     # the separators fill the slots of a width + 1 stride exactly when
     # every line has width fields
     stride = width + 1
-    if len(fields) != len(block) * stride - 1:
-        return None
-    if fields[width::stride].count(sep) != len(block) - 1:
+    if (len(fields) != len(block) * stride - 1
+            or fields[width::stride].count(sep) != len(block) - 1):
         return None
     return fields
 
@@ -166,17 +179,13 @@ def _floats(tokens: list[str]) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _first_bad_line(path, lines, start: int, width: int, delim: str | None,
+def _first_bad_line(path, start: int, width: int, delim: str | None,
                     value_of: slice = slice(None)) -> NoReturn:
-    """Raise the error of the first bad nonblank line of ``lines[start:]``.
-
-    Called when a block is declined.  Each line is checked for its field
-    count, then each field in ``value_of`` for a finite number.
-    """
+    """Raise the error of the first bad nonblank line of ``path`` past line
+    ``start``, read again when a block is declined: a wrong field count,
+    else a field in ``value_of`` that is not a finite number."""
     noun = "values" if delim is None else "fields"
-    for line_no, raw in enumerate(itertools.islice(lines, start, None), start=start + 1):
-        if not raw.strip():
-            continue
+    for line_no, raw in _numbered(path, start):
         tokens = _split(raw, delim)
         if len(tokens) != width:
             _fail(path, line_no, f"expected {width} {noun}, found {len(tokens)}")
@@ -185,38 +194,40 @@ def _first_bad_line(path, lines, start: int, width: int, delim: str | None,
     raise AssertionError(f"{path}: a block was declined but no line is bad")
 
 
-def _parse_rows(path, lines, start: int, body: list[str], n_cols: int) -> np.ndarray:
-    """``body``, the nonblank lines of ``lines[start:]``, as a
-    (len(body), n_cols) array of values."""
+def _check_count(path, found: int, expected: int, message: str) -> None:
+    if found != expected:
+        raise ValueError(f"{path}: {message}, found {found}")
+
+
+def _parse_rows(path, lines: Iterator[str], start: int, n_rows: int, n_cols: int,
+                message: str) -> np.ndarray:
+    """The nonblank ``lines``, which follow line ``start`` of ``path``, as an
+    (n_rows, n_cols) array of values; ``message`` names a wrong line count."""
+    body = filter(str.strip, lines)
     step = max(1, _BLOCK_VALUES // n_cols)
     parts = []
-    for k in range(0, len(body), step):
-        fields = _block_fields(body[k:k + step], n_cols, None)
+    while block := list(itertools.islice(body, step)):
+        fields = _block_fields(block, n_cols, None)
         values = None
         if fields is not None:
             del fields[n_cols::n_cols + 1]
             values = _floats(fields)
-        if values is None:
-            _first_bad_line(path, lines, start, n_cols, None)
+        if values is None:  # a wrong line count is raised before a bad line
+            _check_count(path, sum(1 for _ in _numbered(path, start)), n_rows, message)
+            _first_bad_line(path, start, n_cols, None)
         parts.append(values)
-    return np.concatenate(parts or [np.empty(0)]).reshape(len(body), n_cols)
+        del block, fields  # before the next block is read
+    # the parts grow with the lines read, so a wrong header allocates nothing
+    _check_count(path, sum(map(len, parts)) // n_cols, n_rows, message)
+    return np.concatenate(parts or [np.empty(0)]).reshape(n_rows, n_cols)
 
 
-def _parse_stack_format(path, lines) -> LoadedStack:
-    n, r, c = _stack_header(path, lines[0])
-    body = _nonblank(lines, 1)
-    if len(body) != n * r:  # checked before anything of size n*r*c exists
-        raise ValueError(
-            f"{path}: expected {n * r} value lines for header '{n} {r} {c}', "
-            f"found {len(body)}"
-        )
-    return LoadedStack(
-        stack=DataStack(_parse_rows(path, lines, 1, body, c).reshape(n, r, c)),
-        subject_ids=tuple(str(i) for i in range(1, n + 1)),
-        row_ids=tuple(str(i) for i in range(1, r + 1)),
-        col_ids=tuple(str(i) for i in range(1, c + 1)),
-        source_format="stack",
-    )
+def _parse_stack_format(path, head: str, lines: Iterator[str]) -> LoadedStack:
+    n, r, c = _stack_header(path, head)
+    values = _parse_rows(path, lines, 1, n * r, c,
+                         f"expected {n * r} value lines for header '{n} {r} {c}'")
+    return LoadedStack(DataStack(values.reshape(n, r, c)),
+                       *(tuple(map(str, range(1, k + 1))) for k in (n, r, c)), "stack")
 
 
 class _Ids(dict):
@@ -244,28 +255,30 @@ def _first_duplicate(cells: list[np.ndarray]) -> int | None:
     return int(order[1:][repeat].min()) if repeat.any() else None
 
 
-def _parse_long_format(path, lines) -> LoadedStack:
-    delim, pos, width = _long_header(path, lines[0])
-    body = _nonblank(lines, 1)
-    if not body:
-        raise ValueError(f"{path}: no data records after the header")
+def _parse_long_format(path, head: str, lines: Iterator[str]) -> LoadedStack:
+    delim, pos, width = _long_header(path, head)
+    body = filter(str.strip, lines)
     stride = width + 1
     value_col = pos["value"]
     indexes = (_Ids(), _Ids(), _Ids())
     codes: tuple[list[np.ndarray], ...] = ([], [], [])
     parts = []
-    for k in range(0, len(body), _BLOCK_VALUES):
-        fields = _block_fields(body[k:k + _BLOCK_VALUES], width, delim)
+    while block := list(itertools.islice(body, _BLOCK_VALUES)):
+        fields = _block_fields(block, width, delim)
         values = None if fields is None else _floats(fields[value_col::stride])
         if values is None:
-            _first_bad_line(path, lines, 1, width, delim, slice(value_col, value_col + 1))
+            _first_bad_line(path, 1, width, delim, slice(value_col, value_col + 1))
         parts.append(values)
         for name, index, out in zip(_LONG_HEADER[:3], indexes, codes):
             keys = fields[pos[name]::stride]
             out.append(np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)))
+        del block, fields, keys  # before the next block is read
+    n_records = sum(map(len, parts))
+    if not n_records:
+        raise ValueError(f"{path}: no data records after the header")
     n, r, c = (len(index.names) for index in indexes)
     n_cells = n * r * c
-    if len(body) == n_cells:  # else the grid is not allocated: it cannot be complete
+    if n_records == n_cells:  # else the grid is not allocated: it cannot be complete
         flat = np.concatenate(codes[0]).astype(np.intp)
         for size, out in ((r, codes[1]), (c, codes[2])):
             flat *= size
@@ -273,21 +286,14 @@ def _parse_long_format(path, lines) -> LoadedStack:
         values = np.full(n_cells, np.nan)
         values[flat] = np.concatenate(parts)
         if not np.isnan(values).any():
-            return LoadedStack(
-                stack=DataStack(values.reshape(n, r, c)),
-                subject_ids=tuple(indexes[0].names),
-                row_ids=tuple(indexes[1].names),
-                col_ids=tuple(indexes[2].names),
-                source_format="long",
-            )
+            return LoadedStack(DataStack(values.reshape(n, r, c)),
+                               *(tuple(index.names) for index in indexes), "long")
     dup = _first_duplicate([np.concatenate(out) for out in codes])
     if dup is not None:
-        nonblank = (no for no, raw in enumerate(itertools.islice(lines, 1, None), start=2)
-                    if raw.strip())
-        _fail(path, next(itertools.islice(nonblank, dup, None)),
+        _fail(path, next(itertools.islice(_numbered(path, 1), dup, None))[0],
               "duplicate (subject_id, row_id, col_id) triple")
     raise ValueError(
-        f"{path}: incomplete grid: {n_cells - len(body)} of {n_cells} "
+        f"{path}: incomplete grid: {n_cells - n_records} of {n_cells} "
         f"(subject, row, col) cells missing"
     )
 
@@ -304,20 +310,14 @@ def write_stack_file(path: str, stack: DataStack) -> None:
 
 def read_matrix_file(path: str, n_rows: int, n_cols: int) -> np.ndarray:
     """Read a bare r x c matrix (no header), delimited like stack values."""
-    lines = _read_lines(path)
-    body = _nonblank(lines)
-    if len(body) != n_rows:
-        raise ValueError(f"{path}: expected {n_rows} lines, found {len(body)}")
-    return _parse_rows(path, lines, 0, body, n_cols)
+    return _parse_rows(path, _lines(path), 0, n_rows, n_cols, f"expected {n_rows} lines")
 
 
 def read_vector_file(path: str, length: int) -> np.ndarray:
     """Read a vector, one value per line."""
-    lines = [(k, raw) for k, raw in enumerate(_read_lines(path), start=1) if raw.strip()]
-    if len(lines) != length:
-        raise ValueError(f"{path}: expected {length} lines, found {len(lines)}")
+    _check_count(path, sum(1 for _ in _numbered(path, 0)), length, f"expected {length} lines")
     out = np.empty(length, dtype=float)
-    for k, (line_no, raw) in enumerate(lines):
+    for k, (line_no, raw) in enumerate(_numbered(path, 0)):
         tokens = raw.split()
         if len(tokens) != 1:
             _fail(path, line_no, f"expected one value per line, found {len(tokens)}")
@@ -332,7 +332,7 @@ def read_row_sets(path: str) -> dict[str, tuple[str, ...]]:
     Blank lines and lines starting with ``#`` are skipped.
     """
     sets: dict[str, tuple[str, ...]] = {}
-    for line_no, raw in enumerate(_read_lines(path), start=1):
+    for line_no, raw in enumerate(_lines(path), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

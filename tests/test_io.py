@@ -1,5 +1,7 @@
 """File formats: long records, stack blocks, side inputs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -318,13 +320,18 @@ _ERRORS = [
      "{path}:68002: duplicate (subject_id, row_id, col_id) triple"),
     (_long_records(700, 100, ragged=66000), "{path}:66002: expected 4 fields, found 5"),
     (_stack_rows(40000, ragged=35000), "{path}:35002: expected 2 values, found 3"),
+    # a superscript digit is no decimal digit, so this is no stack header
+    ("1 \u00b2 1\n1\n", "{path}:1: long-format header must name subject_id, row_id, "
+     "col_id, value; missing subject_id, row_id, col_id, value"),
+    # a byte that is not UTF-8, written through surrogateescape
+    ("1 1 2\n1.0 \udcff\n", "{path}: not UTF-8 text"),
 ]
 
 
 @pytest.mark.parametrize("text, message", _ERRORS)
 def test_load_errors_are_pinned_byte_for_byte(tmp_path, text, message):
     path = tmp_path / "data.txt"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     with pytest.raises(ValueError) as exc:
         load_stack(str(path))
     assert str(exc.value) == message.format(path=path)
@@ -341,6 +348,48 @@ def test_matrix_errors_are_pinned_byte_for_byte(tmp_path, text, shape, message):
     with pytest.raises(ValueError) as exc:
         read_matrix_file(str(path), *shape)
     assert str(exc.value) == message.format(path=path)
+
+
+def test_non_utf8_input_is_an_error_that_names_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(_LONG_HEAD.encode() + b"s1,caf\xe9,c1,1.0\ns2,caf\xe9,c1,2.0\n")
+    assert main(["test", str(path), "--partition", "sizes=1"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: not UTF-8 text\n"
+    for read in (lambda: read_matrix_file(str(path), 3, 4),
+                 lambda: read_vector_file(str(path), 3), lambda: read_row_sets(str(path))):
+        with pytest.raises(ValueError) as exc:
+            read()
+        assert str(exc.value) == f"{path}: not UTF-8 text"
+    # past the first chunk of the line source, within the first block
+    path.write_bytes((_LONG_HEAD + "s,r,c,1.0\n" * 20000).encode() + b"s,\xffr,c,1.0\n")
+    with pytest.raises(ValueError) as exc:
+        load_stack(str(path))
+    assert str(exc.value) == f"{path}: not UTF-8 text"
+
+
+# every line break of str.splitlines, a CRLF, characters of two to four
+# UTF-8 bytes, blank lines and a line of spaces
+_BREAKS = ("head\nb\rc\r\nd\ve\ff\x1cg\x1dh\x1ei\x85j\u2028k\u2029"
+           "caf\u00e9 \u20ac \U0001d11e\r\n\r\n   \n\n")
+
+
+@pytest.mark.parametrize("chunk", range(1, 9))
+def test_line_source_splits_like_splitlines_at_every_chunk_size(tmp_path, monkeypatch,
+                                                                 chunk):
+    monkeypatch.setattr(io, "_CHUNK_CHARS", chunk)
+    path = tmp_path / "lines.txt"
+    # a blank last line, a last line without a break, and short files
+    for text in (_BREAKS + "\n", _BREAKS + "tail", _BREAKS, "", "\n", "\r\n", "x", "\r"):
+        path.write_bytes(text.encode("utf-8"))
+        assert list(io._lines(str(path))) == text.splitlines(), text
+    if chunk != 3:
+        return
+    for k, (text, message) in enumerate(_ERRORS):
+        path = tmp_path / f"error{k}.txt"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError) as exc:
+            load_stack(str(path))
+        assert str(exc.value) == message.format(path=path)
 
 
 def test_nul_in_a_long_id_is_part_of_the_id(tmp_path):
@@ -374,6 +423,30 @@ def test_stack_counts_are_checked_before_allocating(tmp_path):
     path.write_text("1 1 10000000000\n1 2\n")
     with pytest.raises(ValueError, match=r"wide_header\.txt:2: expected 10000000000 values, found 2"):
         load_stack(str(path))
+
+
+def test_long_file_is_read_without_holding_its_lines(tmp_path):
+    # 500k records, about 43 MB of line strings; streamed, the load's peak
+    # is one chunk, one block of fields and the output arrays
+    path = tmp_path / "big.tsv"
+    with open(path, "w") as fh:
+        fh.write("subject_id\trow_id\tcol_id\tvalue\n")
+        fh.writelines(f"subject-{i:02d}\tgene-{a:05d}\tt{b}\t{(i + a + b) % 97 / 8}\n"
+                      for i in range(10) for a in range(5000) for b in range(10))
+    tracemalloc.start()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        lines_size = tracemalloc.get_traced_memory()[0]
+        del lines
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_stack(str(path))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert loaded.stack.values.shape == (10, 5000, 10)
+    assert peak < lines_size, (peak, lines_size)
 
 
 def _distinct_id_records(path, n_records):
