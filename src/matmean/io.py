@@ -19,7 +19,8 @@ text in chunks of ``_CHUNK_CHARS`` characters, splits each chunk at the
 line breaks of ``str.splitlines`` and carries the chunk's unfinished last
 line into the next one, so no reader holds a whole file's lines.  Data
 files and ``--m0`` matrices take their nonblank lines from it in blocks
-of about 64k values.  A block's lines are joined with a separator field
+of about 64k values, with the line number of each (``_blocks``).  A
+block's lines are joined with a separator field
 between them (a newline for long format, a NUL for stack values) and
 split once, on the delimiter or on commas and whitespace.  A line with
 the wrong field count moves the separators out of their stride, so one
@@ -29,13 +30,15 @@ block size is fixed: a list per line leaves millions of objects to the
 cyclic garbage collector, and one split of a whole file holds every
 field string at once.
 
-Only an error makes a reader read the file again from the start: a
-declined block, to raise the exact ``path:line: message`` of the first
-bad line (for stack files and ``--m0`` matrices a wrong nonblank line
-count first), or a duplicate long-format record, to name its line.  The
-parsed values grow with the lines read, so nothing is sized by a stack
-header, and the long-format grid is allocated only when the record count
-equals its size.  Long-format ids are numbered in first-appearance order
+Every input is read once, so a pipe works like a file.  A declined block
+holds the first bad line, whose exact ``path:line: message`` is raised
+from the block's own lines; for stack files and ``--m0`` matrices the
+nonblank lines not yet read are counted first, so a wrong line count is
+raised before a bad line.  A duplicate long-format record is named
+through the line numbers kept per block.  The parsed values grow with
+the lines read, so nothing is sized by a stack header, and the
+long-format grid is allocated only when the record count equals its
+size.  Long-format ids are numbered in first-appearance order
 through dicts, by their spelling stripped of surrounding whitespace, so
 padded spellings name one id; duplicates and holes are found with numpy.
 """
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -83,23 +86,37 @@ def _fail(path, line_no, message):
 def _lines(path) -> Iterator[str]:
     """The lines of ``path`` as ``str.splitlines`` gives them, read in chunks."""
     with open(path, encoding="utf-8") as fh:
-        carry = ""
+        carry: list[str] = []  # the pieces of the unfinished line, joined once it ends
         try:
             while chunk := fh.read(_CHUNK_CHARS):
-                lines = (carry + chunk).splitlines()
-                carry = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
-                yield from lines
+                lines = chunk.splitlines()
+                tail = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
+                if lines:
+                    lines[0] = "".join(carry) + lines[0]
+                    carry = []
+                    yield from lines
+                carry.append(tail)
         except UnicodeDecodeError:
             raise ValueError(f"{path}: not UTF-8 text") from None
-    if carry:
-        yield carry
+    if last := "".join(carry):
+        yield last
 
 
-def _numbered(path, start: int) -> Iterator[tuple[int, str]]:
-    """(line number, line) of each nonblank line of ``path`` past line ``start``."""
-    numbered = itertools.islice(enumerate(_lines(path), 1), start, None)
-    # decided on the raw line, so a stack line ",," is a value line
-    return ((no, raw) for no, raw in numbered if raw.strip())
+def _blocks(lines: Iterator[str], first: int,
+            size: int) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """The nonblank ``lines``, numbered from ``first``, in blocks of at most
+    ``size``: the line numbers of a block's lines, and its lines."""
+    while raw := list(itertools.islice(lines, size)):
+        # decided on the raw line, so a stack line ",," is a value line
+        block = list(filter(str.strip, raw))
+        numbers: Sequence[int] = range(first, first + len(raw))
+        if len(block) < len(raw):
+            numbers = np.array([no for no, line in zip(numbers, raw) if line.strip()])
+        first += len(raw)
+        del raw
+        if block:
+            yield numbers, block
+        del block  # before the next block is read
 
 
 def _parse_value(token: str, path, line_no) -> float:
@@ -119,12 +136,16 @@ def _stack_header(path, line: str) -> tuple[int, int, int]:
     return n, r, c
 
 
-def _long_header(path, line: str) -> tuple[str, dict[str, int], int]:
-    """Delimiter, column position of each required name, and field count."""
+def _detect_delimiter(header: str) -> str:
     # Tab wins when present: comma-free TSV headers and tabbed CSV exports
     # both resolve correctly, and mixing the two in one file is rejected
     # later by the field-count check.
-    delim = "\t" if "\t" in line else ","
+    return "\t" if "\t" in header else ","
+
+
+def _long_header(path, line: str) -> tuple[str, dict[str, int], int]:
+    """Delimiter, column position of each required name, and field count."""
+    delim = _detect_delimiter(line)
     header = [t.strip() for t in line.split(delim)]
     missing = [name for name in _LONG_HEADER if name not in header]
     if missing:
@@ -164,8 +185,9 @@ def _block_fields(block: list[str], width: int, delim: str | None) -> list[str] 
     # the separators fill the slots of a width + 1 stride exactly when
     # every line has width fields
     stride = width + 1
-    if (len(fields) != len(block) * stride - 1
-            or fields[width::stride].count(sep) != len(block) - 1):
+    if len(fields) != len(block) * stride - 1:
+        return None
+    if fields[width::stride].count(sep) != len(block) - 1:
         return None
     return fields
 
@@ -179,13 +201,13 @@ def _floats(tokens: list[str]) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _first_bad_line(path, start: int, width: int, delim: str | None,
-                    value_of: slice = slice(None)) -> NoReturn:
-    """Raise the error of the first bad nonblank line of ``path`` past line
-    ``start``, read again when a block is declined: a wrong field count,
-    else a field in ``value_of`` that is not a finite number."""
+def _first_bad_line(path, numbered: Iterable[tuple[int, str]], width: int,
+                    delim: str | None, value_of: slice = slice(None)) -> NoReturn:
+    """Raise the error of the first bad line of ``numbered``, the (line
+    number, line) pairs of a declined block: a wrong field count, else a
+    field in ``value_of`` that is not a finite number."""
     noun = "values" if delim is None else "fields"
-    for line_no, raw in _numbered(path, start):
+    for line_no, raw in numbered:
         tokens = _split(raw, delim)
         if len(tokens) != width:
             _fail(path, line_no, f"expected {width} {noun}, found {len(tokens)}")
@@ -199,22 +221,22 @@ def _check_count(path, found: int, expected: int, message: str) -> None:
         raise ValueError(f"{path}: {message}, found {found}")
 
 
-def _parse_rows(path, lines: Iterator[str], start: int, n_rows: int, n_cols: int,
+def _parse_rows(path, lines: Iterator[str], first: int, n_rows: int, n_cols: int,
                 message: str) -> np.ndarray:
-    """The nonblank ``lines``, which follow line ``start`` of ``path``, as an
+    """The nonblank ``lines`` of ``path``, numbered from ``first``, as an
     (n_rows, n_cols) array of values; ``message`` names a wrong line count."""
-    body = filter(str.strip, lines)
-    step = max(1, _BLOCK_VALUES // n_cols)
     parts = []
-    while block := list(itertools.islice(body, step)):
+    for numbers, block in _blocks(lines, first, max(1, _BLOCK_VALUES // n_cols)):
         fields = _block_fields(block, n_cols, None)
         values = None
         if fields is not None:
             del fields[n_cols::n_cols + 1]
             values = _floats(fields)
         if values is None:  # a wrong line count is raised before a bad line
-            _check_count(path, sum(1 for _ in _numbered(path, start)), n_rows, message)
-            _first_bad_line(path, start, n_cols, None)
+            found = sum(map(len, parts)) // n_cols + len(block)
+            found += sum(1 for _ in filter(str.strip, lines))  # the lines not read yet
+            _check_count(path, found, n_rows, message)
+            _first_bad_line(path, zip(numbers, block), n_cols, None)
         parts.append(values)
         del block, fields  # before the next block is read
     # the parts grow with the lines read, so a wrong header allocates nothing
@@ -224,10 +246,15 @@ def _parse_rows(path, lines: Iterator[str], start: int, n_rows: int, n_cols: int
 
 def _parse_stack_format(path, head: str, lines: Iterator[str]) -> LoadedStack:
     n, r, c = _stack_header(path, head)
-    values = _parse_rows(path, lines, 1, n * r, c,
+    values = _parse_rows(path, lines, 2, n * r, c,
                          f"expected {n * r} value lines for header '{n} {r} {c}'")
-    return LoadedStack(DataStack(values.reshape(n, r, c)),
-                       *(tuple(map(str, range(1, k + 1))) for k in (n, r, c)), "stack")
+    return LoadedStack(
+        stack=DataStack(values.reshape(n, r, c)),
+        subject_ids=tuple(str(i) for i in range(1, n + 1)),
+        row_ids=tuple(str(i) for i in range(1, r + 1)),
+        col_ids=tuple(str(i) for i in range(1, c + 1)),
+        source_format="stack",
+    )
 
 
 class _Ids(dict):
@@ -257,18 +284,20 @@ def _first_duplicate(cells: list[np.ndarray]) -> int | None:
 
 def _parse_long_format(path, head: str, lines: Iterator[str]) -> LoadedStack:
     delim, pos, width = _long_header(path, head)
-    body = filter(str.strip, lines)
     stride = width + 1
     value_col = pos["value"]
     indexes = (_Ids(), _Ids(), _Ids())
     codes: tuple[list[np.ndarray], ...] = ([], [], [])
     parts = []
-    while block := list(itertools.islice(body, _BLOCK_VALUES)):
+    line_numbers = []  # of each block, to name a duplicate's line
+    for numbers, block in _blocks(lines, 2, _BLOCK_VALUES):
         fields = _block_fields(block, width, delim)
         values = None if fields is None else _floats(fields[value_col::stride])
         if values is None:
-            _first_bad_line(path, 1, width, delim, slice(value_col, value_col + 1))
+            _first_bad_line(path, zip(numbers, block), width, delim,
+                            slice(value_col, value_col + 1))
         parts.append(values)
+        line_numbers.append(numbers)
         for name, index, out in zip(_LONG_HEADER[:3], indexes, codes):
             keys = fields[pos[name]::stride]
             out.append(np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)))
@@ -286,11 +315,16 @@ def _parse_long_format(path, head: str, lines: Iterator[str]) -> LoadedStack:
         values = np.full(n_cells, np.nan)
         values[flat] = np.concatenate(parts)
         if not np.isnan(values).any():
-            return LoadedStack(DataStack(values.reshape(n, r, c)),
-                               *(tuple(index.names) for index in indexes), "long")
+            return LoadedStack(
+                stack=DataStack(values.reshape(n, r, c)),
+                subject_ids=tuple(indexes[0].names),
+                row_ids=tuple(indexes[1].names),
+                col_ids=tuple(indexes[2].names),
+                source_format="long",
+            )
     dup = _first_duplicate([np.concatenate(out) for out in codes])
     if dup is not None:
-        _fail(path, next(itertools.islice(_numbered(path, 1), dup, None))[0],
+        _fail(path, np.concatenate(line_numbers)[dup],
               "duplicate (subject_id, row_id, col_id) triple")
     raise ValueError(
         f"{path}: incomplete grid: {n_cells - n_records} of {n_cells} "
@@ -310,14 +344,15 @@ def write_stack_file(path: str, stack: DataStack) -> None:
 
 def read_matrix_file(path: str, n_rows: int, n_cols: int) -> np.ndarray:
     """Read a bare r x c matrix (no header), delimited like stack values."""
-    return _parse_rows(path, _lines(path), 0, n_rows, n_cols, f"expected {n_rows} lines")
+    return _parse_rows(path, _lines(path), 1, n_rows, n_cols, f"expected {n_rows} lines")
 
 
 def read_vector_file(path: str, length: int) -> np.ndarray:
     """Read a vector, one value per line."""
-    _check_count(path, sum(1 for _ in _numbered(path, 0)), length, f"expected {length} lines")
+    lines = [(k, raw) for k, raw in enumerate(_lines(path), start=1) if raw.strip()]
+    _check_count(path, len(lines), length, f"expected {length} lines")
     out = np.empty(length, dtype=float)
-    for k, (line_no, raw) in enumerate(_numbered(path, 0)):
+    for k, (line_no, raw) in enumerate(lines):
         tokens = raw.split()
         if len(tokens) != 1:
             _fail(path, line_no, f"expected one value per line, found {len(tokens)}")

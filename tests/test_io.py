@@ -1,5 +1,9 @@
 """File formats: long records, stack blocks, side inputs."""
 
+import contextlib
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -368,9 +372,9 @@ def test_non_utf8_input_is_an_error_that_names_the_file(tmp_path, capsys):
 
 
 # every line break of str.splitlines, a CRLF, characters of two to four
-# UTF-8 bytes, blank lines and a line of spaces
+# UTF-8 bytes, a line many chunks long, blank lines and a line of spaces
 _BREAKS = ("head\nb\rc\r\nd\ve\ff\x1cg\x1dh\x1ei\x85j\u2028k\u2029"
-           "caf\u00e9 \u20ac \U0001d11e\r\n\r\n   \n\n")
+           "caf\u00e9 \u20ac \U0001d11e\r\n" + "w" * 40 + "\r\n\r\n   \n\n")
 
 
 @pytest.mark.parametrize("chunk", range(1, 9))
@@ -390,6 +394,94 @@ def test_line_source_splits_like_splitlines_at_every_chunk_size(tmp_path, monkey
         with pytest.raises(ValueError) as exc:
             load_stack(str(path))
         assert str(exc.value) == message.format(path=path)
+
+
+def test_a_line_many_chunks_long_is_read_in_linear_time(tmp_path, monkeypatch):
+    # the unfinished line is joined once it ends, not rescanned per chunk:
+    # rescanning makes a 600k-character line cost seconds at 64-character
+    # chunks, against milliseconds for the same characters in short lines
+    monkeypatch.setattr(io, "_CHUNK_CHARS", 64)
+    short, wide = tmp_path / "short.txt", tmp_path / "wide.txt"
+    short.write_text(("x" * 63 + "\n") * 9375)
+    wide.write_text("x" * 600_000)
+
+    def seconds(path):
+        start = time.perf_counter()
+        lines = list(io._lines(str(path)))
+        return time.perf_counter() - start, lines
+
+    short_s, _ = seconds(short)
+    wide_s, lines = seconds(wide)
+    assert lines == ["x" * 600_000]
+    assert wide_s < 10 * short_s + 0.5, (wide_s, short_s)
+
+
+@contextlib.contextmanager
+def _pipe(path, data: bytes):
+    """A named pipe at ``path`` that gives ``data`` to its first reader;
+    a reader that opens it again finds it empty."""
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(data)
+        while not done.is_set():  # end a second read at once, not in a hang
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader waiting
+                pass
+            done.wait(0.01)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield str(path)
+    finally:
+        done.set()
+        writer.join(timeout=10)
+    assert not writer.is_alive(), "the pipe was never opened for reading"
+
+
+# errors in a later block of four values, where a second read of the
+# input would find nothing: a stack count that counts the unread lines,
+# a bad stack line, and a duplicate named across blank lines
+_PIPE_ERRORS = [
+    ("1 3 2\n1 2\n3 4\n5 x\n7 8\n",
+     "{path}: expected 3 value lines for header '1 3 2', found 4"),
+    ("1 3 2\n1 2\n3 4\n5 x\n", "{path}:4: bad numeric value 'x'"),
+    (_LONG_HEAD + "\ns,r,c1,1\n\ns,r,c2,1\ns,r,c3,1\ns,r,c4,1\ns,r,c5,1\n\ns,r,c2,2\n",
+     "{path}:10: duplicate (subject_id, row_id, col_id) triple"),
+]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_inputs_are_read_once_so_pipes_work(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(io, "_BLOCK_VALUES", 4)
+    monkeypatch.setattr(io, "_CHUNK_CHARS", 3)
+    small = [(text, message) for text, message in _ERRORS if len(text) < 4096]
+    for k, (text, message) in enumerate(small + _PIPE_ERRORS):
+        with _pipe(tmp_path / f"data{k}", text.encode("utf-8", "surrogateescape")) as path:
+            with pytest.raises(ValueError) as exc:
+                load_stack(path)
+        assert str(exc.value) == message.format(path=path)
+    with _pipe(tmp_path / "m0", b"1 2\n\n3 4\n5 6\n") as path:
+        assert read_matrix_file(path, 3, 2).tolist() == [[1, 2], [3, 4], [5, 6]]
+    with _pipe(tmp_path / "mu0", b"1.5\n\n-2.5\n0.0\n") as path:
+        assert read_vector_file(path, 3).tolist() == [1.5, -2.5, 0.0]
+    with _pipe(tmp_path / "short_mu0", b"1.5\n") as path:
+        with pytest.raises(ValueError) as exc:
+            read_vector_file(path, 3)
+    assert str(exc.value) == f"{path}: expected 3 lines, found 1"
+    # end to end: a --known-difference vector from a pipe reads as from a file
+    data, vec = tmp_path / "pair.tsv", tmp_path / "mu0.txt"
+    write_stack_file(str(data), DataStack(np.arange(24.0).reshape(4, 3, 2) ** 1.5))
+    vec.write_text("0.5\n-1.0\n2.0\n")
+    assert main(["test", str(data), "--known-difference", f"@{vec}"]) == 0
+    from_file = capsys.readouterr().out.replace(str(vec), "VECTOR")
+    with _pipe(tmp_path / "mu0_pipe", vec.read_bytes()) as path:
+        assert main(["test", str(data), "--known-difference", f"@{path}"]) == 0
+    assert capsys.readouterr().out.replace(path, "VECTOR") == from_file
 
 
 def test_nul_in_a_long_id_is_part_of_the_id(tmp_path):
