@@ -444,11 +444,12 @@ def _pipe(path, data: bytes):
 
 
 # errors in a later block of four values, where a second read of the
-# input would find nothing: a stack count that counts the unread lines,
-# a bad stack line, and a duplicate named across blank lines
+# input would find nothing: a stack count that takes in the lines after
+# the declined block, a bad stack line, and a duplicate named across
+# blank lines
 _PIPE_ERRORS = [
-    ("1 3 2\n1 2\n3 4\n5 x\n7 8\n",
-     "{path}: expected 3 value lines for header '1 3 2', found 4"),
+    ("1 3 2\n1 2\n3 4\n5 x\n7 8\n9 10\n",
+     "{path}: expected 3 value lines for header '1 3 2', found 5"),
     ("1 3 2\n1 2\n3 4\n5 x\n", "{path}:4: bad numeric value 'x'"),
     (_LONG_HEAD + "\ns,r,c1,1\n\ns,r,c2,1\ns,r,c3,1\ns,r,c4,1\ns,r,c5,1\n\ns,r,c2,2\n",
      "{path}:10: duplicate (subject_id, row_id, col_id) triple"),
