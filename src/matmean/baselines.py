@@ -17,7 +17,9 @@ size distortion, not as valid tests.
 The F and chi-square tails of the row-wise tests come from
 ``scipy.special`` (``fdtrc`` and ``chdtrc``, the functions behind
 ``scipy.stats.f.sf`` and ``chi2.sf``), so ``scipy.stats`` is never
-imported.
+imported.  ``anova_rowwise`` and ``kruskal_rowwise`` import them when
+called; no other code in the package loads scipy.  The Chen-Qin normal
+tail comes from ``matmean.normal`` through the engine.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc, fdtrc
 
 from .core import DataStack, GroupPartition
 from .engine import TestResult, _standardize, deviation_estimate, trace_cov_sq_fast
@@ -111,6 +112,8 @@ def anova_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector:
     standard one-way ANOVA is run across the g groups.  Rows with no
     within-group variation are flagged and given p = 1.
     """
+    from scipy.special import fdtrc
+
     indicator, _ = _pooled_layout(stack, partition)
     vals = stack.values
     n, r, c = vals.shape
@@ -177,6 +180,8 @@ def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector
     invariant under monotone transformations of a row.  All-tied rows
     are flagged and given p = 1.
     """
+    from scipy.special import chdtrc
+
     _, assign = _pooled_layout(stack, partition)
     vals = stack.values
     n, r, c = vals.shape

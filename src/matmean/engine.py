@@ -13,6 +13,10 @@ O(N^2 r c) per test; no per-row covariance estimation is involved, so r
 may vastly exceed N.  The estimators accept a batch of grams, which is
 how row-set screening and the pairwise column search score all their
 tests in one call.
+
+The p-values and the rejection cutoff come from ``matmean.normal``, a
+pure-Python port of the Cephes ``ndtr`` and ``ndtri`` that scipy
+evaluates, bit for bit, so no test imports scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .core import (
     DataStack,
@@ -32,6 +35,7 @@ from .core import (
     deviation,
     drop_singletons,
 )
+from .normal import ndtr, ndtri
 
 __all__ = [
     "TestResult",
@@ -55,7 +59,7 @@ def z_quantile(alpha: float) -> float:
     """Upper-tail standard normal quantile used as the rejection cutoff."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return float(ndtri(1.0 - alpha))
+    return ndtri(1.0 - alpha)
 
 
 @dataclass(frozen=True)
@@ -215,11 +219,10 @@ def _standardize(
     dev, tsq, var, r_used = np.broadcast_arrays(dev, tsq, var, r_used)
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = dev / np.sqrt(var)
-    p_value = ndtr(-stat)
     cut = z_quantile(alpha)
     results = []
-    for d, t, v, z, p, r in zip(
-        *(a.ravel().tolist() for a in (dev, tsq, var, stat, p_value, r_used))
+    for d, t, v, z, r in zip(
+        *(a.ravel().tolist() for a in (dev, tsq, var, stat, r_used))
     ):
         finite = math.isfinite(d) and math.isfinite(t) and math.isfinite(v)
         failure = None
@@ -229,7 +232,7 @@ def _standardize(
             failure = "non-finite estimate (floating-point overflow)"
         ok = failure is None
         results.append(TestResult(
-            statistic=z if ok else math.nan, p_value=p if ok else math.nan,
+            statistic=z if ok else math.nan, p_value=ndtr(-z) if ok else math.nan,
             deviation_est=d, trace_cov_sq=t, r_used=r, alpha=alpha,
             reject=z >= cut if ok else None, failure=failure, **common,
         ))
@@ -540,14 +543,14 @@ def analytic_power(
     dev = deviation(m, projection)
     if regime == "weak_signal":
         _, tr2 = _projected_covariance(sig, projection, r)
-        return float(ndtr(-z_quantile(alpha) + n_subjects * dev / np.sqrt(2.0 * tr2)))
+        return ndtr(-z_quantile(alpha) + n_subjects * dev / np.sqrt(2.0 * tr2))
     mp_vec = projection.apply(m).ravel(order="F")
     quad = float(mp_vec @ sig @ mp_vec)
     if quad <= 0.0:
         raise ValueError(
             "strong-signal regime needs a nonzero projected mean under Sigma"
         )
-    return float(ndtr(np.sqrt(n_subjects) * dev / (2.0 * np.sqrt(quad))))
+    return ndtr(np.sqrt(n_subjects) * dev / (2.0 * np.sqrt(quad)))
 
 
 def trace_ratio_diagnostic(sigma, projection: ProjectionMatrix, n_rows: int) -> float:

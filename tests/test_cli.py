@@ -544,8 +544,8 @@ def test_simulate_csv_identical_across_worker_counts(tmp_path, capsys):
     assert len(texts[0].splitlines()) == 4  # header plus three partition runs
 
 
-def _assert_no_scipy_stats(argv):
-    """Run ``main(argv)`` in a fresh interpreter; it must not import scipy.stats."""
+def _assert_no_scipy_stats(argv, absent="scipy.stats"):
+    """Run ``main(argv)`` in a fresh interpreter; it must not import ``absent``."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -556,7 +556,7 @@ def _assert_no_scipy_stats(argv):
         "from matmean.cli import main\n"
         f"code = main({argv!r})\n"
         "assert code == 0, code\n"
-        "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'\n"
+        f"assert {absent!r} not in sys.modules, '{absent} was imported'\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -583,6 +583,83 @@ def test_simulate_with_every_method_does_not_import_scipy_stats(tmp_path):
     ).to_dict()))
     _assert_no_scipy_stats(["simulate", "--config", str(config),
                             "--out", str(tmp_path / "out.csv")])
+
+
+def _method_config(path, methods):
+    path.write_text(json.dumps(SimConfig(
+        n_subjects=6, n_rows=5, n_cols=4,
+        scenario=NoiseScenario("normal"),
+        covariance=IdentityCovariance(),
+        mean=ZeroMean(),
+        partition=GroupPartition.from_sizes((2, 2)),
+        replicates=100, seed=2, methods=methods,
+    ).to_dict()))
+    return path
+
+
+def _no_scipy_argv(tmp_path, kind):
+    rng = np.random.default_rng(8)
+    data = tmp_path / "d.txt"
+    write_stack_file(str(data), DataStack(rng.standard_normal((6, 16, 4))))
+    if kind == "test":
+        return ["test", str(data), "--partition", "sizes=2,2"]
+    if kind == "m0":
+        m0 = tmp_path / "m0.txt"
+        m0.write_text("0 0 0 0\n" * 16)
+        return ["test", str(data), "--m0", str(m0)]
+    if kind == "known-difference":
+        pair = tmp_path / "pair.txt"
+        write_stack_file(str(pair), DataStack(rng.standard_normal((6, 16, 2))))
+        return ["test", str(pair), "--known-difference", "0.5"]
+    if kind == "screen":
+        sets = tmp_path / "sets.txt"
+        sets.write_text("a," + ",".join(map(str, range(1, 9))) + "\n"
+                        "b," + ",".join(map(str, range(9, 17))) + "\n")
+        return ["screen", str(data), "--sets", str(sets), "--partition", "sizes=2,2"]
+    if kind == "discover":
+        return ["discover", str(data)]
+    config = _method_config(tmp_path / "config.json", ("proposed", "cq"))
+    return ["simulate", "--config", str(config), "--out", str(tmp_path / "out.csv")]
+
+
+@pytest.mark.parametrize(
+    "kind", ["test", "m0", "known-difference", "screen", "discover", "simulate"])
+def test_commands_without_rowwise_baselines_do_not_import_scipy(tmp_path, kind):
+    # the normal tail and quantile are matmean.normal; only the row-wise
+    # ANOVA and Kruskal-Wallis baselines load scipy, for their F and
+    # chi-square tails
+    _assert_no_scipy_stats(_no_scipy_argv(tmp_path, kind), absent="scipy")
+
+
+def test_rowwise_baselines_import_scipy_when_run(tmp_path):
+    # scipy.special is imported inside anova_rowwise and kruskal_rowwise;
+    # the CSV bytes are those written when it was imported at module top
+    config = _method_config(tmp_path / "config.json", ("proposed", "anova", "kw"))
+    out = tmp_path / "out.csv"
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
+    )
+    argv = ["simulate", "--config", str(config), "--out", str(out)]
+    script = (
+        "import sys\n"
+        "from matmean.cli import main\n"
+        "assert 'scipy' not in sys.modules\n"
+        f"assert main({argv!r}) == 0\n"
+        "assert 'scipy.special' in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text() == (
+        "method,rejections,valid,errors,proportion,std_error\n"
+        "proposed,12,100,0,0.12,0.03249615361854384\n"
+        "anova_fdr,9,100,0,0.09,0.02861817604250837\n"
+        "anova_bon,9,100,0,0.09,0.02861817604250837\n"
+        "kw_fdr,5,100,0,0.05,0.021794494717703367\n"
+        "kw_bon,5,100,0,0.05,0.021794494717703367\n"
+    )
 
 
 # ---------------------------------------------------------------------------
