@@ -16,7 +16,7 @@ tests in one call.
 
 The p-values and the rejection cutoff come from ``matmean.normal``, a
 pure-Python port of the Cephes ``ndtr`` and ``ndtri`` that scipy
-evaluates, bit for bit, so no test imports scipy.
+evaluates, bit for bit, so nothing in this module needs scipy.
 """
 
 from __future__ import annotations

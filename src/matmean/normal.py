@@ -3,9 +3,9 @@
 ``ndtr`` (Phi) and ``ndtri`` (its inverse) port the Cephes routines that
 ``scipy.special`` evaluates, with the same coefficient tables and the
 same order of floating-point operations; the test suite compares them
-with scipy bit for bit.  They spare every test, screen and discovery the
-scipy import, which was most of the command line's start-up time.
-``math.erf`` and ``erfc`` would not do: they differ in the last bits.
+with scipy bit for bit.  With them a test, screen or discovery never
+imports scipy, whose import would be most of the command line's start-up
+time.  ``math.erf`` and ``erfc`` would not do: they differ in the last bits.
 """
 
 from __future__ import annotations

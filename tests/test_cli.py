@@ -544,23 +544,27 @@ def test_simulate_csv_identical_across_worker_counts(tmp_path, capsys):
     assert len(texts[0].splitlines()) == 4  # header plus three partition runs
 
 
-def _assert_no_scipy_stats(argv, absent="scipy.stats"):
-    """Run ``main(argv)`` in a fresh interpreter; it must not import ``absent``."""
+def _run_fresh(script):
+    """Run ``script`` in a fresh interpreter on this checkout; it must exit 0."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
-    script = (
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _assert_no_scipy_stats(argv, absent="scipy.stats"):
+    """Run ``main(argv)`` in a fresh interpreter; it must not import ``absent``."""
+    _run_fresh(
         "import sys\n"
         "from matmean.cli import main\n"
         f"code = main({argv!r})\n"
         "assert code == 0, code\n"
         f"assert {absent!r} not in sys.modules, '{absent} was imported'\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
 
 
 def test_test_command_does_not_import_scipy_stats(tmp_path):
@@ -636,22 +640,14 @@ def test_rowwise_baselines_import_scipy_when_run(tmp_path):
     # the CSV bytes are those written when it was imported at module top
     config = _method_config(tmp_path / "config.json", ("proposed", "anova", "kw"))
     out = tmp_path / "out.csv"
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
-    )
     argv = ["simulate", "--config", str(config), "--out", str(out)]
-    script = (
+    _run_fresh(
         "import sys\n"
         "from matmean.cli import main\n"
         "assert 'scipy' not in sys.modules\n"
         f"assert main({argv!r}) == 0\n"
         "assert 'scipy.special' in sys.modules\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
     assert out.read_text() == (
         "method,rejections,valid,errors,proportion,std_error\n"
         "proposed,12,100,0,0.12,0.03249615361854384\n"
