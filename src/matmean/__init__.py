@@ -8,6 +8,8 @@ pairwise two-sample mean tests), a Monte Carlo harness with canned study
 designs, and a batch CLI round out the toolkit.
 """
 
+from importlib import import_module
+
 from .baselines import (
     PairwiseCqSummary,
     PValueVector,
@@ -23,18 +25,6 @@ from .core import (
     ProjectionMatrix,
     build_projection,
     deviation,
-)
-from .covariance import (
-    Ar1Factor,
-    BlockDiagonalCovariance,
-    CompoundCovariance,
-    CompoundFactor,
-    DenseCovariance,
-    DenseFactor,
-    IdentityCovariance,
-    KroneckerCovariance,
-    covariance_from_dict,
-    sqrt_factor,
 )
 from .engine import (
     TestResult,
@@ -52,23 +42,33 @@ from .engine import (
     z_quantile,
 )
 from .io import LoadedStack, load_stack, read_row_sets, write_stack_file
-from .presets import PRESET_NAMES, build_preset
-from .simulate import (
-    MethodOutcome,
-    MultiplicativeMean,
-    NoiseScenario,
-    RejectionReport,
-    RightBlockMean,
-    SimConfig,
-    SparseMean,
-    ZeroMean,
-    gen_noise,
-    gen_stack,
-    monte_carlo,
-    replicate_rng,
-)
 
 __version__ = "0.1.0"
+
+# Defined here rather than in ``presets`` so that the command-line parser
+# can offer them without importing the Monte Carlo modules.
+DEFAULT_REPLICATES = 1000
+PRESET_NAMES = ("table1", "table2", "table3", "table4", "table5", "webtable2")
+
+# The Monte Carlo modules load on first use (PEP 562), so the commands that
+# do not simulate never import them.
+_LAZY = {
+    "covariance": ("Ar1Factor", "BlockDiagonalCovariance", "CompoundCovariance",
+                   "CompoundFactor", "DenseCovariance", "DenseFactor", "IdentityCovariance",
+                   "KroneckerCovariance", "covariance_from_dict", "sqrt_factor"),
+    "presets": ("build_preset",),
+    "simulate": ("MethodOutcome", "MultiplicativeMean", "NoiseScenario", "RejectionReport",
+                 "RightBlockMean", "SimConfig", "SparseMean", "ZeroMean", "gen_noise",
+                 "gen_stack", "monte_carlo", "replicate_rng"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY_MODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY_MODULE[name]}", __name__), name)
+
 
 __all__ = [
     "Ar1Factor",

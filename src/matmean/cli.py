@@ -19,6 +19,7 @@ import sys
 
 import numpy as np
 
+from . import DEFAULT_REPLICATES, PRESET_NAMES
 from .baselines import PValueVector, adjust_pvalues
 from .core import GroupPartition
 from .engine import (
@@ -29,14 +30,8 @@ from .engine import (
     test_known_matrix,
 )
 from .io import LoadedStack, load_stack, read_matrix_file, read_vector_file, read_row_sets
-from .presets import DEFAULT_REPLICATES, PRESET_NAMES, build_preset, parse_cell_filter
-from .simulate import RejectionReport, SimConfig, monte_carlo
 
 SCHEMA_VERSION = 1
-
-_PRESET_CSV_HEADER = (
-    "preset,scenario,r,c,N,zeros,kind,partition," + RejectionReport.CSV_HEADER
-)
 
 
 class CliError(ValueError):
@@ -359,6 +354,18 @@ def cmd_discover(args) -> int:
 # simulate
 
 
+def __getattr__(name):
+    # PEP 562: the Monte Carlo entry points import their modules on first
+    # use, so only the simulate command loads them
+    if name == "build_preset":
+        from .presets import build_preset
+        return build_preset
+    if name == "monte_carlo":
+        from .simulate import monte_carlo
+        return monte_carlo
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _preset_coordinates(cell, run) -> tuple[str, ...]:
     """The eight leading columns of a preset CSV row."""
     cfg = run.config
@@ -379,20 +386,26 @@ def cmd_simulate(args) -> int:
         raise CliError("choose exactly one of --preset or --config")
     if args.cell and args.preset is None:
         raise CliError("--cell only applies to --preset runs")
+    from .presets import parse_cell_filter
+    from .simulate import RejectionReport, SimConfig
 
+    # looked up on the module, so that a wrapper set on it from outside is
+    # the one called
+    cli = sys.modules[__name__]
     if args.preset is not None:
-        cells = build_preset(args.preset, reps=args.reps, seed=args.seed)
+        cells = cli.build_preset(args.preset, reps=args.reps, seed=args.seed)
         if args.cell:
             filters = parse_cell_filter(args.cell)
             cells = tuple(c for c in cells if c.matches(filters))
             if not cells:
                 raise CliError(f"no {args.preset} cell matches {args.cell!r}")
-        csv_lines = [_PRESET_CSV_HEADER]
+        csv_lines = ["preset,scenario,r,c,N,zeros,kind,partition,"
+                     + RejectionReport.CSV_HEADER]
         cell_reports = []
         for cell in cells:
             runs = []
             for run in cell.runs:
-                rep = monte_carlo(run.config, workers=args.workers)
+                rep = cli.monte_carlo(run.config, workers=args.workers)
                 csv_lines.extend(rep.csv_rows(*_preset_coordinates(cell, run)))
                 runs.append({
                     "kind": run.kind,
@@ -430,7 +443,7 @@ def cmd_simulate(args) -> int:
         config = dataclasses.replace(config, replicates=args.reps)
     if args.seed != 0:
         config = dataclasses.replace(config, seed=args.seed)
-    rep = monte_carlo(config, workers=args.workers)
+    rep = cli.monte_carlo(config, workers=args.workers)
     report = _envelope("simulate", config.alpha, [])
     report["mode"] = "config"
     report["config_path"] = args.config

@@ -14,21 +14,21 @@ The delimiter (tab or comma) is detected from the header line; stack-format
 value lines additionally accept runs of spaces.  Values are written with
 ``repr`` so a write/read round trip is bit-exact.
 
-Every reader takes its lines from one source, ``_lines``.  It reads the
+Every reader takes its lines from one source, ``_chunks``.  It reads the
 text in chunks of ``_CHUNK_CHARS`` characters, splits each chunk at the
 line breaks of ``str.splitlines`` and carries the chunk's unfinished last
-line into the next one, so no reader holds a whole file's lines.  Data
-files and ``--m0`` matrices take their nonblank lines from it in blocks
-of about 64k values, with the line number of each (``_blocks``).  A
-block's lines are joined with a separator field
-between them (a newline for long format, a NUL for stack values) and
-split once, on the delimiter or on commas and whitespace.  A line with
-the wrong field count moves the separators out of their stride, so one
-list count checks every line.  Values go through the ``float()`` of
-``_parse_value``, so the bits are those of a line-by-line read.  The
-block size is fixed: a list per line leaves millions of objects to the
-cyclic garbage collector, and one split of a whole file holds every
-field string at once.
+line into the next one, so no reader holds a whole file's lines.  A block
+is one chunk's complete lines; data files and ``--m0`` matrices take its
+nonblank lines with the line number of each (``_blocks``).  A block's
+lines are joined with a separator field between them (a newline for long
+format, a NUL for stack values) and split once, on the delimiter or on
+commas and whitespace.  A line with the wrong field count moves the
+separators out of their stride, so one list count checks every line.
+Values go through the ``float()`` of ``_parse_value``, so the bits are
+those of a line-by-line read.  A block is sized in characters so that its
+field strings are still in cache when ``float()`` and the id lookups
+reach them; a block of 64k long-format lines splits into some 15 MB of
+strings, far more than a core's cache holds.
 
 Every input is read once, so a pipe works like a file.  A declined block
 holds the first bad line, whose exact ``path:line: message`` is raised
@@ -45,7 +45,7 @@ padded spellings name one id; duplicates and holes are found with numpy.
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NoReturn, Sequence
 
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 _LONG_HEADER = ("subject_id", "row_id", "col_id", "value")
-_BLOCK_VALUES = 1 << 16  # values per block; see the module docstring
+_Blocks = Iterator[tuple[Sequence[int], list[str]]]  # (line numbers, lines) per block
 _CHUNK_CHARS = 1 << 16  # characters per read; see the module docstring
 _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # those of str.splitlines
 
@@ -83,8 +83,9 @@ def _fail(path, line_no, message):
     raise ValueError(f"{path}:{line_no}: {message}")
 
 
-def _lines(path) -> Iterator[str]:
-    """The lines of ``path`` as ``str.splitlines`` gives them, read in chunks."""
+def _chunks(path) -> Iterator[list[str]]:
+    """The lines of ``path`` as ``str.splitlines`` gives them, read in
+    chunks: one list for each chunk, of the lines that chunk completes."""
     with open(path, encoding="utf-8") as fh:
         carry: list[str] = []  # the pieces of the unfinished line, joined once it ends
         try:
@@ -94,29 +95,26 @@ def _lines(path) -> Iterator[str]:
                 if lines:
                     lines[0] = "".join(carry) + lines[0]
                     carry = []
-                    yield from lines
+                    yield lines
                 carry.append(tail)
         except UnicodeDecodeError:
             raise ValueError(f"{path}: not UTF-8 text") from None
     if last := "".join(carry):
-        yield last
+        yield [last]
 
 
-def _blocks(lines: Iterator[str], first: int,
-            size: int) -> Iterator[tuple[Sequence[int], list[str]]]:
-    """The nonblank ``lines``, numbered from ``first``, in blocks of at most
-    ``size``: the line numbers of a block's lines, and its lines."""
-    while raw := list(itertools.islice(lines, size)):
+def _blocks(chunks: Iterable[list[str]], first: int) -> _Blocks:
+    """The nonblank lines of each of ``chunks``, numbered from ``first``:
+    the line numbers of a block's lines, and its lines."""
+    for raw in chunks:
         # decided on the raw line, so a stack line ",," is a value line
         block = list(filter(str.strip, raw))
         numbers: Sequence[int] = range(first, first + len(raw))
         if len(block) < len(raw):
             numbers = np.array([no for no, line in zip(numbers, raw) if line.strip()])
         first += len(raw)
-        del raw
         if block:
             yield numbers, block
-        del block  # before the next block is read
 
 
 def _parse_value(token: str, path, line_no) -> float:
@@ -130,7 +128,7 @@ def _parse_value(token: str, path, line_no) -> float:
 
 
 def _stack_header(path, line: str) -> tuple[int, int, int]:
-    n, r, c = (int(t) for t in line.replace(",", " ").replace("\t", " ").split())
+    n, r, c = (int(t) for t in _split(line, None))
     if min(n, r, c) < 1:
         _fail(path, 1, f"header dimensions must be positive, got {n} {r} {c}")
     return n, r, c
@@ -156,14 +154,15 @@ def _long_header(path, line: str) -> tuple[str, dict[str, int], int]:
 
 def load_stack(path: str) -> LoadedStack:
     """Load a data file in either supported format, detected from line 1."""
-    lines = _lines(path)
-    head = next(lines, "")
+    chunks = _chunks(path)
+    head, *lines = next(chunks, [""])
     if not head.strip():
         raise ValueError(f"{path}:1: empty file")
-    head_tokens = head.replace(",", " ").replace("\t", " ").split()
+    blocks = _blocks(chain([lines], chunks), 2)
+    head_tokens = _split(head, None)
     if len(head_tokens) == 3 and all(t.isdecimal() for t in head_tokens):
-        return _parse_stack_format(path, head, lines)
-    return _parse_long_format(path, head, lines)
+        return _parse_stack_format(path, head, blocks)
+    return _parse_long_format(path, head, blocks)
 
 
 def _split(text: str, delim: str | None) -> list[str]:
@@ -221,12 +220,11 @@ def _check_count(path, found: int, expected: int, message: str) -> None:
         raise ValueError(f"{path}: {message}, found {found}")
 
 
-def _parse_rows(path, lines: Iterator[str], first: int, n_rows: int, n_cols: int,
-                message: str) -> np.ndarray:
-    """The nonblank ``lines`` of ``path``, numbered from ``first``, as an
-    (n_rows, n_cols) array of values; ``message`` names a wrong line count."""
+def _parse_rows(path, blocks: _Blocks, n_rows: int, n_cols: int, message: str) -> np.ndarray:
+    """The lines of ``blocks``, read from ``path``, as an (n_rows, n_cols)
+    array of values; ``message`` names a wrong line count."""
     parts = []
-    for numbers, block in _blocks(lines, first, max(1, _BLOCK_VALUES // n_cols)):
+    for numbers, block in blocks:
         fields = _block_fields(block, n_cols, None)
         values = None
         if fields is not None:
@@ -234,7 +232,7 @@ def _parse_rows(path, lines: Iterator[str], first: int, n_rows: int, n_cols: int
             values = _floats(fields)
         if values is None:  # a wrong line count is raised before a bad line
             found = sum(map(len, parts)) // n_cols + len(block)
-            found += sum(1 for _ in filter(str.strip, lines))  # the lines not read yet
+            found += sum(len(rest) for _, rest in blocks)  # the lines not read yet
             _check_count(path, found, n_rows, message)
             _first_bad_line(path, zip(numbers, block), n_cols, None)
         parts.append(values)
@@ -244,9 +242,9 @@ def _parse_rows(path, lines: Iterator[str], first: int, n_rows: int, n_cols: int
     return np.concatenate(parts or [np.empty(0)]).reshape(n_rows, n_cols)
 
 
-def _parse_stack_format(path, head: str, lines: Iterator[str]) -> LoadedStack:
+def _parse_stack_format(path, head: str, blocks: _Blocks) -> LoadedStack:
     n, r, c = _stack_header(path, head)
-    values = _parse_rows(path, lines, 2, n * r, c,
+    values = _parse_rows(path, blocks, n * r, c,
                          f"expected {n * r} value lines for header '{n} {r} {c}'")
     return LoadedStack(
         stack=DataStack(values.reshape(n, r, c)),
@@ -282,7 +280,7 @@ def _first_duplicate(cells: list[np.ndarray]) -> int | None:
     return int(order[1:][repeat].min()) if repeat.any() else None
 
 
-def _parse_long_format(path, head: str, lines: Iterator[str]) -> LoadedStack:
+def _parse_long_format(path, head: str, blocks: _Blocks) -> LoadedStack:
     delim, pos, width = _long_header(path, head)
     stride = width + 1
     value_col = pos["value"]
@@ -290,7 +288,7 @@ def _parse_long_format(path, head: str, lines: Iterator[str]) -> LoadedStack:
     codes: tuple[list[np.ndarray], ...] = ([], [], [])
     parts = []
     line_numbers = []  # of each block, to name a duplicate's line
-    for numbers, block in _blocks(lines, 2, _BLOCK_VALUES):
+    for numbers, block in blocks:
         fields = _block_fields(block, width, delim)
         values = None if fields is None else _floats(fields[value_col::stride])
         if values is None:
@@ -344,12 +342,13 @@ def write_stack_file(path: str, stack: DataStack) -> None:
 
 def read_matrix_file(path: str, n_rows: int, n_cols: int) -> np.ndarray:
     """Read a bare r x c matrix (no header), delimited like stack values."""
-    return _parse_rows(path, _lines(path), 1, n_rows, n_cols, f"expected {n_rows} lines")
+    return _parse_rows(path, _blocks(_chunks(path), 1), n_rows, n_cols,
+                       f"expected {n_rows} lines")
 
 
 def read_vector_file(path: str, length: int) -> np.ndarray:
     """Read a vector, one value per line."""
-    lines = [(k, raw) for k, raw in enumerate(_lines(path), start=1) if raw.strip()]
+    lines = [line for block in _blocks(_chunks(path), 1) for line in zip(*block)]
     _check_count(path, len(lines), length, f"expected {length} lines")
     out = np.empty(length, dtype=float)
     for k, (line_no, raw) in enumerate(lines):
@@ -367,7 +366,7 @@ def read_row_sets(path: str) -> dict[str, tuple[str, ...]]:
     Blank lines and lines starting with ``#`` are skipped.
     """
     sets: dict[str, tuple[str, ...]] = {}
-    for line_no, raw in enumerate(_lines(path), start=1):
+    for line_no, raw in enumerate(chain.from_iterable(_chunks(path)), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
+from . import DEFAULT_REPLICATES, PRESET_NAMES
 from .core import GroupPartition
 from .covariance import (
     Ar1Factor,
@@ -40,10 +41,6 @@ __all__ = [
     "build_preset",
     "parse_cell_filter",
 ]
-
-DEFAULT_REPLICATES = 1000
-
-PRESET_NAMES = ("table1", "table2", "table3", "table4", "table5", "webtable2")
 
 # Shared across table4/table5/webtable2: AR(1) rows, equicorrelated columns.
 _AR_RHO = 0.85

@@ -658,6 +658,56 @@ def test_rowwise_baselines_import_scipy_when_run(tmp_path):
     )
 
 
+_MONTE_CARLO_MODULES = ("matmean.simulate", "matmean.presets", "matmean.covariance",
+                        "concurrent.futures")
+
+
+@pytest.mark.parametrize("kind", ["test", "screen", "discover"])
+def test_commands_that_do_not_simulate_do_not_load_the_monte_carlo_modules(tmp_path, kind):
+    argv = _no_scipy_argv(tmp_path, kind)
+    _run_fresh(
+        "import sys\n"
+        "from matmean.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        f"loaded = [m for m in {_MONTE_CARLO_MODULES!r} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+
+
+def test_package_names_load_their_modules_on_first_use():
+    _run_fresh(
+        "import sys\n"
+        "import matmean\n"
+        "from matmean import monte_carlo, sqrt_factor, PRESET_NAMES\n"
+        "assert 'matmean.presets' not in sys.modules\n"
+        "missing = [name for name in matmean.__all__ if getattr(matmean, name, None) is None]\n"
+        "assert not missing, missing\n"
+        "from matmean import covariance, presets, simulate\n"
+        "assert (monte_carlo, sqrt_factor) == (simulate.monte_carlo, covariance.sqrt_factor)\n"
+        "assert matmean.build_preset is presets.build_preset\n"
+        "assert PRESET_NAMES is presets.PRESET_NAMES\n"
+        "assert not hasattr(matmean, 'no_such_name')\n"
+    )
+
+
+def test_simulate_calls_the_entry_points_set_on_the_cli_module(tmp_path, monkeypatch, capsys):
+    # the benchmark tracer wraps cli.build_preset and cli.monte_carlo with
+    # setattr; the wrappers must be what the simulate command calls
+    import matmean.cli as cli
+
+    calls = []
+    for name in ("build_preset", "monte_carlo"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, real=getattr(cli, name), **k:
+                            calls.append(name) or real(*a, **k))
+    code, _, _ = _run(["simulate", "--preset", "table4", "--cell", "r=10,c=100,N=10",
+                       "--reps", "100", "--workers", "1"], capsys)
+    assert code == 0
+    assert calls == ["build_preset"] + ["monte_carlo"] * 3
+    config = _method_config(tmp_path / "config.json", ("proposed",))
+    assert _run(["simulate", "--config", str(config)], capsys)[0] == 0
+    assert calls[4:] == ["monte_carlo"]
+
+
 # ---------------------------------------------------------------------------
 # benchmark tracer
 

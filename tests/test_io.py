@@ -318,8 +318,8 @@ _ERRORS = [
      "{path}:3: duplicate (subject_id, row_id, col_id) triple"),
     (_LONG_HEAD + "s1,r1,c1,1.0\ns1,r1,c2,2.0\ns2,r1,c1,3.0\n",
      "{path}: incomplete grid: 1 of 4 (subject, row, col) cells missing"),
-    # later 64k-value blocks: record 68000 repeats record 5's cell, and a
-    # ragged line sits past the first block of each format
+    # many blocks in: record 68000 repeats record 5's cell, and a ragged
+    # line sits past the first block of each format
     (_long_records(700, 100, dup=(68000, 5)),
      "{path}:68002: duplicate (subject_id, row_id, col_id) triple"),
     (_long_records(700, 100, ragged=66000), "{path}:66002: expected 4 fields, found 5"),
@@ -371,6 +371,11 @@ def test_non_utf8_input_is_an_error_that_names_the_file(tmp_path, capsys):
     assert str(exc.value) == f"{path}: not UTF-8 text"
 
 
+def _read_lines(path):
+    """The lines of ``path`` as the chunked line source gives them."""
+    return [line for lines in io._chunks(str(path)) for line in lines]
+
+
 # every line break of str.splitlines, a CRLF, characters of two to four
 # UTF-8 bytes, a line many chunks long, blank lines and a line of spaces
 _BREAKS = ("head\nb\rc\r\nd\ve\ff\x1cg\x1dh\x1ei\x85j\u2028k\u2029"
@@ -385,7 +390,7 @@ def test_line_source_splits_like_splitlines_at_every_chunk_size(tmp_path, monkey
     # a blank last line, a last line without a break, and short files
     for text in (_BREAKS + "\n", _BREAKS + "tail", _BREAKS, "", "\n", "\r\n", "x", "\r"):
         path.write_bytes(text.encode("utf-8"))
-        assert list(io._lines(str(path))) == text.splitlines(), text
+        assert _read_lines(path) == text.splitlines(), text
     if chunk != 3:
         return
     for k, (text, message) in enumerate(_ERRORS):
@@ -407,13 +412,61 @@ def test_a_line_many_chunks_long_is_read_in_linear_time(tmp_path, monkeypatch):
 
     def seconds(path):
         start = time.perf_counter()
-        lines = list(io._lines(str(path)))
+        lines = _read_lines(path)
         return time.perf_counter() - start, lines
 
     short_s, _ = seconds(short)
     wide_s, lines = seconds(wide)
     assert lines == ["x" * 600_000]
     assert wide_s < 10 * short_s + 0.5, (wide_s, short_s)
+
+
+_PAD = " " * 70_000  # makes a line longer than a chunk at every size tested
+
+
+def _write_crlf(path, lines):
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 64, 4096, io._CHUNK_CHARS])
+def test_every_chunk_size_gives_the_same_results_and_errors(tmp_path, monkeypatch, chunk):
+    # a block is one chunk's lines, so its edges move with the chunk size:
+    # blank and whitespace-only lines, CRLF breaks, padded ids and a line
+    # longer than the chunk must read the same wherever the edges fall
+    monkeypatch.setattr(io, "_CHUNK_CHARS", chunk)
+    values = np.arange(24.0).reshape(2, 3, 4) / 7 - 1
+    long_lines = ["subject_id,row_id,col_id,value"]
+    for (i, a, b), value in np.ndenumerate(values):
+        subject = _PAD + f"s{i}" if (i, a, b) == (0, 1, 2) else f"s{i}"
+        row = f" r{a} " if b % 2 else f"r{a}"
+        long_lines.append(f"{subject},{row},c{b},{float(value)!r}")
+        long_lines += {1: [""], 2: [" \t "]}.get(b, [])
+    rows = ["\t".join(map(repr, row)) for row in values.reshape(6, 4).tolist()]
+    rows[2] = rows[2].replace("\t", _PAD)
+    rows[4:4] = ["", "   "]
+    long, stack, m0 = tmp_path / "long.csv", tmp_path / "stack.txt", tmp_path / "m0.txt"
+    _write_crlf(long, long_lines)
+    _write_crlf(stack, ["2 3 4"] + rows)
+    _write_crlf(m0, rows)
+    loaded = load_stack(str(long))
+    assert (loaded.subject_ids, loaded.row_ids, loaded.col_ids, loaded.source_format) == (
+        ("s0", "s1"), ("r0", "r1", "r2"), ("c0", "c1", "c2", "c3"), "long")
+    assert loaded.stack.values.tobytes() == values.tobytes()
+    loaded = load_stack(str(stack))
+    assert (loaded.subject_ids, loaded.row_ids, loaded.col_ids, loaded.source_format) == (
+        ("1", "2"), ("1", "2", "3"), ("1", "2", "3", "4"), "stack")
+    assert loaded.stack.values.tobytes() == values.tobytes()
+    assert read_matrix_file(str(m0), 6, 4).tobytes() == values.reshape(6, 4).tobytes()
+    big = tuple(f"g{k}" for k in range(12_000))
+    sets = tmp_path / "sets.txt"
+    _write_crlf(sets, ["# sets", "small\tr1,r2", "", "  ", "big," + ",".join(big)])
+    assert read_row_sets(str(sets)) == {"small": ("r1", "r2"), "big": big}
+    for k, (text, message) in enumerate(e for e in _ERRORS if len(e[0]) < 4096):
+        path = tmp_path / f"error{k}.txt"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ValueError) as exc:
+            load_stack(str(path))
+        assert str(exc.value) == message.format(path=path)
 
 
 @contextlib.contextmanager
@@ -443,10 +496,10 @@ def _pipe(path, data: bytes):
     assert not writer.is_alive(), "the pipe was never opened for reading"
 
 
-# errors in a later block of four values, where a second read of the
-# input would find nothing: a stack count that takes in the lines after
-# the declined block, a bad stack line, and a duplicate named across
-# blank lines
+# errors in a later block (read in three-character chunks, a block is a
+# line or two), where a second read of the input would find nothing: a
+# stack count that takes in the lines after the declined block, a bad
+# stack line, and a duplicate named across blank lines
 _PIPE_ERRORS = [
     ("1 3 2\n1 2\n3 4\n5 x\n7 8\n9 10\n",
      "{path}: expected 3 value lines for header '1 3 2', found 5"),
@@ -458,8 +511,7 @@ _PIPE_ERRORS = [
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_inputs_are_read_once_so_pipes_work(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(io, "_BLOCK_VALUES", 4)
-    monkeypatch.setattr(io, "_CHUNK_CHARS", 3)
+    monkeypatch.setattr(io, "_CHUNK_CHARS", 3)  # a line or two per block
     small = [(text, message) for text, message in _ERRORS if len(text) < 4096]
     for k, (text, message) in enumerate(small + _PIPE_ERRORS):
         with _pipe(tmp_path / f"data{k}", text.encode("utf-8", "surrogateescape")) as path:
@@ -631,7 +683,7 @@ def _assert_long_load(path, values, subj_ids, row_ids, col_ids, order):
 
 def test_fast_path_matches_line_parser_on_random_shapes(tmp_path):
     rng = np.random.default_rng(23)
-    # (2, 170, 200) spans two blocks of 64k values in both formats
+    # (2, 170, 200) spans some twenty blocks of 64k characters in both formats
     for k, shape in enumerate([(1, 1, 1), (2, 1, 5), (4, 9, 1), (2, 170, 200), (7, 17, 3)]):
         values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
         path = tmp_path / f"s{k}.txt"
@@ -683,9 +735,10 @@ def test_fast_path_matches_line_parser_on_float_spellings(tmp_path):
 
 
 def test_padded_ids_name_one_id_across_blocks(tmp_path):
-    # 80000 records, so two blocks of 64k.  Row "b" is spelled " b" in both
-    # blocks and "b" or "b " only in the second; row b's column ids are
-    # padded.  Each id is one id, numbered at its first appearance.
+    # 80000 records in 1.6 MB, so about 25 blocks of 64k characters.  Row
+    # "b" is spelled " b" from the 12th block on and "b" or "b " only from
+    # the 22nd; row b's column ids are padded.  Each id is one id, numbered
+    # at its first appearance.
     n_cols = 40000
     path = tmp_path / "padded.csv"
     with open(path, "w") as fh:
