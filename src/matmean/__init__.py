@@ -24,11 +24,9 @@ from .core import (
     GroupPartition,
     ProjectionMatrix,
     build_projection,
-    deviation,
 )
 from .engine import (
     TestResult,
-    analytic_power,
     compute_gram,
     deviation_estimate,
     discover_structure,
@@ -38,7 +36,6 @@ from .engine import (
     test_known_matrix,
     trace_cov_sq_fast,
     trace_cov_sq_naive,
-    trace_ratio_diagnostic,
     z_quantile,
 )
 from .io import LoadedStack, load_stack, read_row_sets, write_stack_file
@@ -96,14 +93,12 @@ __all__ = [
     "TestResult",
     "ZeroMean",
     "adjust_pvalues",
-    "analytic_power",
     "anova_rowwise",
     "build_preset",
     "build_projection",
     "chen_qin_two_sample",
     "compute_gram",
     "covariance_from_dict",
-    "deviation",
     "deviation_estimate",
     "discover_structure",
     "gen_noise",
@@ -121,7 +116,6 @@ __all__ = [
     "test_known_matrix",
     "trace_cov_sq_fast",
     "trace_cov_sq_naive",
-    "trace_ratio_diagnostic",
     "write_stack_file",
     "z_quantile",
 ]

@@ -393,7 +393,8 @@ def cmd_simulate(args) -> int:
     # the one called
     cli = sys.modules[__name__]
     if args.preset is not None:
-        cells = cli.build_preset(args.preset, reps=args.reps, seed=args.seed)
+        seed = 0 if args.seed is None else args.seed
+        cells = cli.build_preset(args.preset, reps=args.reps, seed=seed)
         if args.cell:
             filters = parse_cell_filter(args.cell)
             cells = tuple(c for c in cells if c.matches(filters))
@@ -425,7 +426,7 @@ def cmd_simulate(args) -> int:
         report["preset"] = args.preset
         report["cell_filter"] = args.cell
         report["replicates"] = args.reps if args.reps else DEFAULT_REPLICATES
-        report["seed"] = args.seed
+        report["seed"] = seed
         report["csv_path"] = args.out
         report["cells"] = cell_reports
         if args.out:
@@ -441,7 +442,7 @@ def cmd_simulate(args) -> int:
     config = SimConfig.from_dict(raw)
     if args.reps is not None:
         config = dataclasses.replace(config, replicates=args.reps)
-    if args.seed != 0:
+    if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     rep = cli.monte_carlo(config, workers=args.workers)
     report = _envelope("simulate", config.alpha, [])
@@ -495,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--preset", choices=PRESET_NAMES)
     p_sim.add_argument("--cell", help="filter preset cells, e.g. 'r=100,N=50'")
     p_sim.add_argument("--reps", type=int, help=f"replicates (default {DEFAULT_REPLICATES})")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=int,
+                       help="base seed (default: the config's seed, or 0 for presets)")
     p_sim.add_argument("--config", help="JSON config file for a single custom run")
     p_sim.add_argument("--out", help="CSV output path")
     p_sim.add_argument("--workers", type=int,

@@ -20,7 +20,6 @@ __all__ = [
     "ProjectionMatrix",
     "DataStack",
     "build_projection",
-    "deviation",
     "drop_singletons",
 ]
 
@@ -103,8 +102,9 @@ class ProjectionMatrix:
     """Centering of columns within groups: P = I minus group averaging.
 
     P is symmetric and idempotent.  ``apply`` multiplies by it without
-    forming it; ``values`` is the explicit c x c matrix, built on first
-    use for the closed-form diagnostics that need it.
+    forming it.  ``values`` is the explicit c x c matrix, built on first
+    use; no test path needs it, only the C9 acceptance check (its exact
+    targets) and the tests (a dense reference) read it.
     """
 
     partition: GroupPartition
@@ -247,22 +247,6 @@ class DataStack:
 
     def take_rows(self, rows: Sequence[int]) -> "DataStack":
         return DataStack._owning(np.take(self.values, list(rows), axis=1))
-
-
-def deviation(m: np.ndarray, projection: ProjectionMatrix) -> float:
-    """Squared Frobenius norm of the projected mean matrix.
-
-    Zero exactly when every row of ``m`` is constant within each column
-    group, i.e. when the grouped-mean hypothesis holds for ``m``.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[1] != projection.n_cols:
-        raise ValueError(
-            f"mean matrix shape {m.shape} does not match projection on "
-            f"{projection.n_cols} columns"
-        )
-    mp = projection.apply(m)
-    return float(np.sum(mp * mp))
 
 
 def drop_singletons(

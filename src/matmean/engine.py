@@ -32,7 +32,6 @@ from .core import (
     GroupPartition,
     ProjectionMatrix,
     build_projection,
-    deviation,
     drop_singletons,
 )
 from .normal import ndtr, ndtri
@@ -48,8 +47,6 @@ __all__ = [
     "test_known_difference",
     "screen_row_sets",
     "discover_structure",
-    "analytic_power",
-    "trace_ratio_diagnostic",
 ]
 
 MIN_SUBJECTS = 4
@@ -479,89 +476,3 @@ def discover_structure(stack: DataStack, alpha: float = 0.05) -> dict:
     trace["final"] = mean_matrix_test(stack, grouping, alpha=alpha).to_dict()
     trace["conclusion"] = "grouped columns"
     return trace
-
-
-def _materialize_sigma(sigma, r: int, c: int) -> np.ndarray:
-    if hasattr(sigma, "materialize"):
-        return np.asarray(sigma.materialize(r, c), dtype=float)
-    sig = np.asarray(sigma, dtype=float)
-    if sig.shape != (r * c, r * c):
-        raise ValueError(
-            f"covariance has shape {sig.shape}, expected {(r * c, r * c)}"
-        )
-    return sig
-
-
-def _projected_covariance(
-    sig: np.ndarray, projection: ProjectionMatrix, r: int
-) -> tuple[np.ndarray, float]:
-    """Omega = (P (x) I_r) Sigma (P (x) I_r) and its positive tr(Omega^2)."""
-    k = np.kron(projection.values, np.eye(r))
-    omega = k @ sig @ k
-    tr2 = float((omega * omega).sum())
-    if tr2 <= 0.0:
-        raise ValueError("degenerate covariance: tr(Omega^2) is zero")
-    return omega, tr2
-
-
-def analytic_power(
-    m: np.ndarray,
-    projection: ProjectionMatrix,
-    sigma,
-    n_subjects: int,
-    alpha: float = 0.05,
-    regime: str = "weak_signal",
-) -> float:
-    """Asymptotic power at mean ``m`` under a known covariance.
-
-    Two closed forms cover the two limit regimes.  ``weak_signal``
-    applies when the null variance term dominates:
-
-        Phi(-z_alpha + N * dev / sqrt(2 tr(Omega^2)))
-
-    where dev is the squared projected mean and Omega the covariance
-    of the projected vectorized data.  ``strong_signal`` applies when
-    the mean term dominates:
-
-        Phi(sqrt(N) * dev / (2 sqrt(v' Sigma v))),   v = vec(M P).
-
-    The covariance is materialized, so r*c is capped; use these for
-    planning at moderate sizes.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[1] != projection.n_cols:
-        raise ValueError(
-            f"mean matrix shape {m.shape} does not match projection on "
-            f"{projection.n_cols} columns"
-        )
-    if regime not in ("weak_signal", "strong_signal"):
-        raise ValueError(
-            f"regime must be 'weak_signal' or 'strong_signal', got {regime!r}"
-        )
-    r, c = m.shape
-    sig = _materialize_sigma(sigma, r, c)
-    dev = deviation(m, projection)
-    if regime == "weak_signal":
-        _, tr2 = _projected_covariance(sig, projection, r)
-        return ndtr(-z_quantile(alpha) + n_subjects * dev / np.sqrt(2.0 * tr2))
-    mp_vec = projection.apply(m).ravel(order="F")
-    quad = float(mp_vec @ sig @ mp_vec)
-    if quad <= 0.0:
-        raise ValueError(
-            "strong-signal regime needs a nonzero projected mean under Sigma"
-        )
-    return ndtr(np.sqrt(n_subjects) * dev / (2.0 * np.sqrt(quad)))
-
-
-def trace_ratio_diagnostic(sigma, projection: ProjectionMatrix, n_rows: int) -> float:
-    """tr(Omega^4) / tr(Omega^2)^2 for the projected covariance.
-
-    Small values indicate no eigenvalue direction dominates, which is
-    what the normal limit of the test statistic rests on.  Materializes
-    the covariance, so r*c is capped.
-    """
-    sig = _materialize_sigma(sigma, n_rows, projection.n_cols)
-    omega, tr2 = _projected_covariance(sig, projection, n_rows)
-    om2 = omega @ omega
-    tr4 = float((om2 * om2).sum())
-    return tr4 / (tr2 * tr2)

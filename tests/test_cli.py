@@ -521,6 +521,25 @@ def test_simulate_config_mode(tmp_path, capsys):
     assert report["report"]["replicates"] == 150
 
 
+def test_simulate_seed_flag_overrides_the_config_seed(tmp_path, capsys):
+    # --seed 0 must choose seed 0, not fall back to the file's seed
+    methods = ("proposed", "cq")
+    seven = _method_config(tmp_path / "seven.json", methods, seed=7)
+    zero = _method_config(tmp_path / "zero.json", methods, seed=0)
+
+    def csv(config, *flags):
+        out = tmp_path / "out.csv"
+        assert _run(["simulate", "--config", str(config), "--out", str(out), *flags],
+                    capsys)[0] == 0
+        return out.read_text()
+
+    assert csv(seven) != csv(zero)
+    assert csv(seven, "--seed", "0") == csv(zero)
+    assert csv(zero, "--seed", "7") == csv(seven)
+    # an omitted --seed keeps the file's seed
+    assert csv(seven) == csv(seven, "--seed", "7")
+
+
 def test_simulate_bad_config_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -589,14 +608,14 @@ def test_simulate_with_every_method_does_not_import_scipy_stats(tmp_path):
                             "--out", str(tmp_path / "out.csv")])
 
 
-def _method_config(path, methods):
+def _method_config(path, methods, seed=2):
     path.write_text(json.dumps(SimConfig(
         n_subjects=6, n_rows=5, n_cols=4,
         scenario=NoiseScenario("normal"),
         covariance=IdentityCovariance(),
         mean=ZeroMean(),
         partition=GroupPartition.from_sizes((2, 2)),
-        replicates=100, seed=2, methods=methods,
+        replicates=100, seed=seed, methods=methods,
     ).to_dict()))
     return path
 
@@ -690,6 +709,25 @@ def test_package_names_load_their_modules_on_first_use():
     )
 
 
+def test_every_module_star_import_resolves():
+    # a name left in some __all__ after its definition is gone fails here,
+    # not at a user's `import *`
+    import pkgutil
+
+    import matmean
+
+    names = ["matmean"] + [f"matmean.{m.name}" for m in pkgutil.iter_modules(matmean.__path__)]
+    assert "matmean.engine" in names and "matmean.core" in names
+    offered = {}
+    for name in names:
+        namespace = {}
+        exec(f"from {name} import *", namespace)
+        offered[name] = namespace
+    gone = {"analytic_power", "trace_ratio_diagnostic", "deviation"}
+    for name in ("matmean", "matmean.engine", "matmean.core"):
+        assert not gone & offered[name].keys(), name
+
+
 def test_simulate_calls_the_entry_points_set_on_the_cli_module(tmp_path, monkeypatch, capsys):
     # the benchmark tracer wraps cli.build_preset and cli.monte_carlo with
     # setattr; the wrappers must be what the simulate command calls
@@ -699,9 +737,10 @@ def test_simulate_calls_the_entry_points_set_on_the_cli_module(tmp_path, monkeyp
     for name in ("build_preset", "monte_carlo"):
         monkeypatch.setattr(cli, name, lambda *a, name=name, real=getattr(cli, name), **k:
                             calls.append(name) or real(*a, **k))
-    code, _, _ = _run(["simulate", "--preset", "table4", "--cell", "r=10,c=100,N=10",
-                       "--reps", "100", "--workers", "1"], capsys)
+    code, report, _ = _run(["simulate", "--preset", "table4", "--cell", "r=10,c=100,N=10",
+                            "--reps", "100", "--workers", "1"], capsys)
     assert code == 0
+    assert report["seed"] == 0  # an omitted --seed is reported as 0
     assert calls == ["build_preset"] + ["monte_carlo"] * 3
     config = _method_config(tmp_path / "config.json", ("proposed",))
     assert _run(["simulate", "--config", str(config)], capsys)[0] == 0

@@ -6,7 +6,6 @@ from matmean.core import (
     GroupPartition,
     ProjectionMatrix,
     build_projection,
-    deviation,
     drop_singletons,
 )
 
@@ -105,33 +104,6 @@ def test_projection_conjugation_under_column_permutation():
     # centering within the scattered groups is the product with P
     x = rng.standard_normal((3, 4, 7))
     assert np.allclose(build_projection(permuted).apply(x), x @ p_perm, atol=1e-12)
-
-
-def test_deviation_elementwise_oracle():
-    rng = np.random.default_rng(12)
-    part = GroupPartition.from_sizes((3, 2))
-    proj = build_projection(part)
-    m = rng.standard_normal((6, 5))
-    # independent computation: subtract group means column-block-wise
-    centered = m.copy()
-    centered[:, :3] -= m[:, :3].mean(axis=1, keepdims=True)
-    centered[:, 3:] -= m[:, 3:].mean(axis=1, keepdims=True)
-    assert deviation(m, proj) == pytest.approx(float((centered ** 2).sum()), rel=1e-12)
-
-
-def test_deviation_zero_iff_group_constant():
-    part = GroupPartition.from_sizes((2, 3))
-    proj = build_projection(part)
-    m = np.column_stack([np.ones(4), np.ones(4), 2 * np.ones(4), 2 * np.ones(4), 2 * np.ones(4)])
-    assert deviation(m, proj) == pytest.approx(0.0, abs=1e-24)
-    m[1, 0] += 0.5
-    assert deviation(m, proj) > 0.0
-
-
-def test_deviation_shape_mismatch():
-    proj = build_projection(GroupPartition.from_sizes((2, 2)))
-    with pytest.raises(ValueError, match="does not match"):
-        deviation(np.zeros((3, 5)), proj)
 
 
 def test_drop_singletons():

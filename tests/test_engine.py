@@ -1,18 +1,19 @@
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from matmean.core import DataStack, GroupPartition, build_projection, deviation
+from matmean.core import DataStack, GroupPartition, build_projection
 from matmean.engine import (
     MIN_SUBJECTS,
     compute_gram,
     deviation_estimate,
     discover_structure,
     mean_matrix_test,
-    analytic_power,
     trace_cov_sq_fast,
     trace_cov_sq_naive,
-    trace_ratio_diagnostic,
     z_quantile,
 )
 from matmean.engine import test_known_difference as known_difference_test
@@ -98,6 +99,66 @@ def test_trace_cov_sq_fast_matches_naive():
     assert fast.shape == (2, 3)
     for idx in np.ndindex(2, 3):
         assert fast[idx] == trace_cov_sq_fast(batch[idx])
+
+
+def _exact_estimates(x, assignment):
+    """Both U-statistics of integer data, in exact rational arithmetic.
+
+    Columns are centred within their groups, the gram G is formed, and
+    the estimates are the mean of G_ij over ordered pairs i != j and
+    the mean of the kernel 1/4 ((y_i - y_k)'(y_j - y_l))^2 over ordered
+    tuples of four distinct subjects.
+    """
+    groups = {}
+    for b, q in enumerate(assignment):
+        groups.setdefault(q, []).append(b)
+    flat = []
+    for m in x.tolist():
+        y = []
+        for row in m:
+            row = [Fraction(v) for v in row]
+            for cols in groups.values():
+                mean = sum((row[b] for b in cols), Fraction(0)) / len(cols)
+                for b in cols:
+                    row[b] -= mean
+            y.extend(row)
+        flat.append(y)
+    g = [[sum((a * b for a, b in zip(yi, yj)), Fraction(0)) for yj in flat] for yi in flat]
+    pairs = list(itertools.permutations(range(len(flat)), 2))
+    quads = list(itertools.permutations(range(len(flat)), 4))
+    dev = sum(g[i][j] for i, j in pairs) / len(pairs)
+    tr = sum((g[i][j] - g[i][l] - g[k][j] + g[k][l]) ** 2
+             for i, j, k, l in quads) / (4 * len(quads))
+    return dev, tr, max(abs(v) for row in g for v in row)
+
+
+def _exact_oracle_cases():
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n, r, c = int(rng.integers(4, 7)), int(rng.integers(1, 4)), int(rng.integers(2, 6))
+        labels = rng.integers(1, 3, size=c)
+        labels[1] = labels[0]  # at least one group of two columns
+        yield rng.integers(-5, 6, size=(n, r, c)), labels.tolist()
+    # exact zeros: identical subjects give a zero trace estimate, and rows
+    # constant within each group give zero for both
+    same = np.random.default_rng(100).integers(-5, 6, size=(1, 3, 4))
+    yield np.repeat(same, 5, axis=0), [1, 1, 2, 2]
+    yield np.repeat(np.repeat(same[:, :, :2], 2, axis=2), 5, axis=0), [1, 2, 1, 2]
+
+
+def test_estimators_match_exact_rational_u_statistics():
+    # C7 compares two floating-point versions; this checks both estimators
+    # against the U-statistics evaluated without rounding
+    for x, labels in _exact_oracle_cases():
+        part = GroupPartition.from_labels(labels)
+        g = compute_gram(DataStack(x.astype(float)), build_projection(part))
+        dev, tr, scale = _exact_estimates(x, part.assignment)
+        for got, want, unit in ((deviation_estimate(g), dev, scale),
+                                (trace_cov_sq_fast(g), tr, scale * scale)):
+            if want == 0:
+                assert abs(got) <= 1e-12 * (1 + unit)
+            else:
+                assert abs(Fraction(got) - want) <= 1e-12 * abs(want)
 
 
 def test_trace_cov_sq_requires_four_subjects():
@@ -246,81 +307,6 @@ def test_known_difference_scalar_and_recovery():
         known_difference_test(stack, np.zeros(7), col_a=0, col_b=1)
     with pytest.raises(ValueError):
         known_difference_test(stack, 0.0, col_a=1, col_b=1)
-
-
-def test_analytic_power_null_mean_gives_alpha():
-    part = GroupPartition.from_sizes((3, 2))
-    proj = build_projection(part)
-    sigma = np.eye(4 * 5)
-    p = analytic_power(np.zeros((4, 5)), proj, sigma, n_subjects=20, alpha=0.05)
-    assert p == pytest.approx(0.05, rel=1e-10)
-
-
-def test_analytic_power_weak_signal_hand_formula():
-    rng = np.random.default_rng(45)
-    r, c, n = 3, 4, 12
-    part = GroupPartition.from_sizes((2, 2))
-    proj = build_projection(part)
-    half = rng.standard_normal((r * c, r * c)) / np.sqrt(r * c)
-    sigma = half @ half.T + np.eye(r * c)
-    m = rng.standard_normal((r, c)) * 0.3
-    kp = np.kron(proj.values, np.eye(r))
-    omega = kp @ sigma @ kp
-    dev = deviation(m, proj)
-    expected = stats.norm.cdf(
-        -z_quantile(0.05) + n * dev / np.sqrt(2.0 * np.trace(omega @ omega))
-    )
-    got = analytic_power(m, proj, sigma, n_subjects=n, alpha=0.05, regime="weak_signal")
-    assert got == pytest.approx(expected, rel=1e-10)
-
-
-def test_analytic_power_strong_signal_hand_formula():
-    rng = np.random.default_rng(46)
-    r, c, n = 3, 4, 12
-    part = GroupPartition.from_sizes((2, 2))
-    proj = build_projection(part)
-    half = rng.standard_normal((r * c, r * c)) / np.sqrt(r * c)
-    sigma = half @ half.T + np.eye(r * c)
-    m = rng.standard_normal((r, c))
-    dev = deviation(m, proj)
-    v = (m @ proj.values).ravel(order="F")
-    expected = stats.norm.cdf(np.sqrt(n) * dev / (2.0 * np.sqrt(v @ sigma @ v)))
-    got = analytic_power(m, proj, sigma, n_subjects=n, alpha=0.05, regime="strong_signal")
-    assert got == pytest.approx(expected, rel=1e-10)
-
-
-def test_analytic_power_monotone_in_subjects():
-    part = GroupPartition.from_sizes((2, 2))
-    proj = build_projection(part)
-    m = np.full((5, 4), 0.0)
-    m[:, 3] = 0.4
-    sigma = np.eye(20)
-    powers = [analytic_power(m, proj, sigma, n) for n in (10, 20, 40, 80)]
-    assert all(a < b for a, b in zip(powers, powers[1:]))
-    with pytest.raises(ValueError):
-        analytic_power(m, proj, sigma, 10, regime="other")
-
-
-def test_trace_ratio_identity_closed_form():
-    part = GroupPartition.from_sizes((10,))
-    proj = build_projection(part)
-    r = 25
-    got = trace_ratio_diagnostic(np.eye(r * 10), proj, n_rows=r)
-    assert got == pytest.approx(1.0 / (r * 9), rel=1e-10)
-
-
-def test_trace_ratio_matches_dense_computation():
-    rng = np.random.default_rng(47)
-    r, c = 4, 5
-    part = GroupPartition.from_sizes((3, 2))
-    proj = build_projection(part)
-    half = rng.standard_normal((r * c, r * c)) / np.sqrt(r * c)
-    sigma = half @ half.T + np.eye(r * c)
-    kp = np.kron(proj.values, np.eye(r))
-    omega = kp @ sigma @ kp
-    om2 = omega @ omega
-    expected = np.trace(om2 @ om2) / np.trace(om2) ** 2
-    assert trace_ratio_diagnostic(sigma, proj, n_rows=r) == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize("shift", [0.0, 1e4])
