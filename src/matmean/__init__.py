@@ -36,7 +36,6 @@ from .engine import (
     test_known_matrix,
     trace_cov_sq_fast,
     trace_cov_sq_naive,
-    z_quantile,
 )
 from .io import LoadedStack, load_stack, read_row_sets, write_stack_file
 
@@ -117,5 +116,4 @@ __all__ = [
     "trace_cov_sq_fast",
     "trace_cov_sq_naive",
     "write_stack_file",
-    "z_quantile",
 ]

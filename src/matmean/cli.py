@@ -190,20 +190,15 @@ def cmd_test(args) -> int:
     rows = args.orientation == "rows"
     # ids of the columns in testing orientation
     unit_ids = loaded.row_ids if rows else loaded.col_ids
-    stack = loaded.stack
-    if rows and args.partition is None:
-        # mean_matrix_test transposes by itself; the known-mean tests
-        # take the stack in testing orientation
-        stack = stack.transposed()
+    # every mode tests the columns of the stack in testing orientation
+    stack = loaded.stack.transposed() if rows else loaded.stack
     warnings: list[str] = []
     report = _envelope("test", args.alpha, warnings)
     report["data"] = _data_block(loaded, args.data, args.orientation)
 
     if args.partition is not None:
         partition = parse_partition_spec(args.partition, unit_ids)
-        result = mean_matrix_test(
-            stack, partition, alpha=args.alpha, orientation=args.orientation
-        )
+        result = mean_matrix_test(stack, partition, alpha=args.alpha)
         report["hypothesis"] = {"mode": "partition", "partition": _partition_block(partition)}
         if result.dropped_columns:
             warnings.append(
@@ -234,6 +229,7 @@ def cmd_test(args) -> int:
             mu0_echo = mu0
         result = test_known_difference(stack, mu0, col_a=0, col_b=1, alpha=args.alpha)
         report["hypothesis"] = {"mode": "known_difference", "mu0": mu0_echo}
+    result = dataclasses.replace(result, orientation=args.orientation)
 
     report["result"] = _result_block(result, unit_ids)
     _print_report(report)
@@ -439,7 +435,12 @@ def cmd_simulate(args) -> int:
             raw = json.load(fh)
         except json.JSONDecodeError as e:
             raise CliError(f"{args.config}: invalid JSON ({e})")
-    config = SimConfig.from_dict(raw)
+    if not isinstance(raw, dict):
+        raise CliError(f"{args.config}: does not hold a JSON object")
+    try:
+        config = SimConfig.from_dict(raw)
+    except KeyError as e:
+        raise CliError(f"{args.config}: missing field {e}")
     if args.reps is not None:
         config = dataclasses.replace(config, replicates=args.reps)
     if args.seed is not None:

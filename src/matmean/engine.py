@@ -14,9 +14,9 @@ may vastly exceed N.  The estimators accept a batch of grams, which is
 how row-set screening and the pairwise column search score all their
 tests in one call.
 
-The p-values and the rejection cutoff come from ``matmean.normal``, a
-pure-Python port of the Cephes ``ndtr`` and ``ndtri`` that scipy
-evaluates, bit for bit, so nothing in this module needs scipy.
+The p-values come from ``matmean.normal``, a pure-Python port of the
+Cephes ``ndtr`` that scipy evaluates, bit for bit, so nothing in this
+module needs scipy.  A test rejects when its p-value is below alpha.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .core import (
     build_projection,
     drop_singletons,
 )
-from .normal import ndtr, ndtri
+from .normal import ndtr
 
 __all__ = [
     "TestResult",
@@ -50,13 +50,6 @@ __all__ = [
 ]
 
 MIN_SUBJECTS = 4
-
-
-def z_quantile(alpha: float) -> float:
-    """Upper-tail standard normal quantile used as the rejection cutoff."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return ndtri(1.0 - alpha)
 
 
 @dataclass(frozen=True)
@@ -213,10 +206,11 @@ def _standardize(
     nonpositive ``tsq`` or ``var`` gives a failure instead of a
     statistic, so overflow never passes as a NaN that does not reject.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     dev, tsq, var, r_used = np.broadcast_arrays(dev, tsq, var, r_used)
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = dev / np.sqrt(var)
-    cut = z_quantile(alpha)
     results = []
     for d, t, v, z, r in zip(
         *(a.ravel().tolist() for a in (dev, tsq, var, stat, r_used))
@@ -228,10 +222,11 @@ def _standardize(
         elif not (finite and math.isfinite(z)):
             failure = "non-finite estimate (floating-point overflow)"
         ok = failure is None
+        p = ndtr(-z) if ok else math.nan
         results.append(TestResult(
-            statistic=z if ok else math.nan, p_value=ndtr(-z) if ok else math.nan,
+            statistic=z if ok else math.nan, p_value=p,
             deviation_est=d, trace_cov_sq=t, r_used=r, alpha=alpha,
-            reject=z >= cut if ok else None, failure=failure, **common,
+            reject=p < alpha if ok else None, failure=failure, **common,
         ))
     return results
 

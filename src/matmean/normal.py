@@ -1,26 +1,24 @@
-"""Standard normal tail and quantile in pure Python, bit-identical to scipy.
+"""Standard normal distribution function in pure Python, bit-identical to scipy.
 
-``ndtr`` (Phi) and ``ndtri`` (its inverse) port the Cephes routines that
-``scipy.special`` evaluates, with the same coefficient tables and the
-same order of floating-point operations; the test suite compares them
-with scipy bit for bit.  With them a test, screen or discovery never
-imports scipy, whose import would be most of the command line's start-up
-time.  ``math.erf`` and ``erfc`` would not do: they differ in the last bits.
+``ndtr`` (Phi) ports the Cephes routine that ``scipy.special`` evaluates,
+with the same coefficient tables and the same order of floating-point
+operations; the test suite compares it with scipy bit for bit.  With it
+a test, screen or discovery never imports scipy, whose import would be
+most of the command line's start-up time.  ``math.erf`` and ``erfc``
+would not do: they differ in the last bits.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["ndtr", "ndtri"]
+__all__ = ["ndtr"]
 
 _SQRT1_2 = 7.07106781186547524401e-1
-_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
 
-# The denominators Q, S, U, Q0, Q1 and Q2 start with the leading 1 that
-# Cephes leaves implicit (its p1evl); 1.0 * x + c is exactly x + c.
+# The denominators Q, S and U start with the leading 1 that Cephes
+# leaves implicit (its p1evl); 1.0 * x + c is exactly x + c.
 
 # erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8, exp(-x^2) R(x) / S(x) above
 _P = (2.46196981473530512524e-10, 5.64189564831068821977e-1,
@@ -47,39 +45,6 @@ _T = (9.60497373987051638749e0, 9.00260197203842689217e1,
 _U = (1.0, 3.35617141647503099647e1,
       5.21357949780152679795e2, 4.59432382970980127987e3,
       2.26290000613890934246e4, 4.92673942608635921086e4)
-
-# ndtri(y) for exp(-2) < y < 1 - exp(-2): with u = y - 1/2,
-# sqrt(2 pi) (u + u^3 P0(u^2) / Q0(u^2)).  In either tail, with
-# x = sqrt(-2 log y) for the tail mass y: x - log(x) / x - P(1/x) / (x Q(1/x)),
-# P1/Q1 for x < 8 (y > exp(-32)) and P2/Q2 beyond
-_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
-       -5.66762857469070293439e1, 1.39312609387279679503e1,
-       -1.23916583867381258016e0)
-_Q0 = (1.0, 1.95448858338141759834e0,
-       4.67627912898881538453e0, 8.63602421390890590575e1,
-       -2.25462687854119370527e2, 2.00260212380060660359e2,
-       -8.20372256168333339912e1, 1.59056225126211695515e1,
-       -1.18331621121330003142e0)
-_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
-       5.71628192246421288162e1, 4.40805073893200834700e1,
-       1.46849561928858024014e1, 2.18663306850790267539e0,
-       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
-       -8.57456785154685413611e-4)
-_Q1 = (1.0, 1.57799883256466749731e1,
-       4.53907635128879210584e1, 4.13172038254672030440e1,
-       1.50425385692907503408e1, 2.50464946208309415979e0,
-       -1.42182922854787788574e-1, -3.80806407691578277194e-2,
-       -9.33259480895457427372e-4)
-_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
-       3.93881025292474443415e0, 1.33303460815807542389e0,
-       2.01485389549179081538e-1, 1.23716634817820021358e-2,
-       3.01581553508235416007e-4, 2.65806974686737550832e-6,
-       6.23974539184983293730e-9)
-_Q2 = (1.0, 6.02427039364742014255e0,
-       3.67983563856160859403e0, 1.37702099489081330271e0,
-       2.16236993594496635890e-1, 1.34204006088543189037e-2,
-       3.28014464682127739104e-4, 2.89247864745380683936e-6,
-       6.79019408009981274425e-9)
 
 
 def _polevl(x: float, coef: tuple) -> float:
@@ -123,25 +88,3 @@ def ndtr(a: float) -> float:
         return 0.5 + 0.5 * _erf(x)
     y = 0.5 * _erfc(z)
     return 1.0 - y if x > 0.0 else y
-
-
-def ndtri(y0: float) -> float:
-    """Inverse of ``ndtr``; NaN outside [0, 1], and a NaN comes back negated."""
-    y0 = float(y0)
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    if y0 < 0.0 or y0 > 1.0:
-        return math.nan
-    upper = y0 > 1.0 - _EXP_M2
-    y = 1.0 - y0 if upper else y0
-    if y > _EXP_M2:
-        u = y - 0.5
-        u2 = u * u
-        return (u + u * (u2 * _polevl(u2, _P0) / _polevl(u2, _Q0))) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
-    x = x - math.log(x) / x - z * _polevl(z, p) / _polevl(z, q)
-    return x if upper else -x

@@ -155,6 +155,27 @@ def test_rows_orientation_matches_manual_transpose(tmp_path, capsys):
     assert rep_a["result"]["orientation"] == "rows"
 
 
+def test_rows_orientation_of_known_mean_tests_is_reported(tmp_path, capsys):
+    # the known-mean tests run on the transposed stack; the result must
+    # still say which orientation was tested, as the data block does
+    rng = np.random.default_rng(9)
+    v = rng.standard_normal((8, 2, 6))
+    by_rows = tmp_path / "by_rows.tsv"
+    write_stack_file(str(by_rows), DataStack(v))
+    pre_t = tmp_path / "pre_t.tsv"
+    write_stack_file(str(pre_t), DataStack(v.transpose(0, 2, 1).copy()))
+    m0 = tmp_path / "m0.txt"
+    m0.write_text("0 0\n" * 6)
+    for mode in (["--m0", str(m0)], ["--known-difference", "0"]):
+        code, rep, _ = _run(["test", str(by_rows), "--orientation", "rows", *mode], capsys)
+        assert code == 0
+        assert rep["data"]["orientation"] == rep["result"]["orientation"] == "rows"
+        code, direct, _ = _run(["test", str(pre_t), *mode], capsys)
+        assert code == 0
+        assert direct["result"]["orientation"] == "columns"
+        assert rep["result"]["statistic"] == direct["result"]["statistic"]
+
+
 def test_known_matrix_mode(tmp_path, capsys):
     rng = np.random.default_rng(21)
     m0 = rng.standard_normal((8, 4))
@@ -547,6 +568,26 @@ def test_simulate_bad_config_json(tmp_path, capsys):
     assert code == 1 and "invalid JSON" in err
 
 
+@pytest.mark.parametrize("case", ["factor without rho", "no partition", "array"])
+def test_simulate_malformed_config_names_the_problem(tmp_path, capsys, case):
+    raw = json.loads(_method_config(tmp_path / "good.json", ("proposed",)).read_text())
+    if case == "factor without rho":
+        raw["covariance"] = {"kind": "kronecker", "row": {"kind": "ar1", "dim": 5},
+                             "col": {"kind": "ar1", "dim": 4, "rho": 0.3}}
+        expected = "missing field 'rho'"
+    elif case == "no partition":
+        del raw["partition"]
+        expected = "missing field 'partition'"
+    else:
+        raw = [raw]
+        expected = "does not hold a JSON object"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, report, err = _run(["simulate", "--config", str(path)], capsys)
+    assert code == 1 and report is None
+    assert err == f"error: {path}: {expected}\n"
+
+
 def test_simulate_csv_identical_across_worker_counts(tmp_path, capsys):
     texts = []
     for k, workers in enumerate(("1", "3")):
@@ -723,8 +764,8 @@ def test_every_module_star_import_resolves():
         namespace = {}
         exec(f"from {name} import *", namespace)
         offered[name] = namespace
-    gone = {"analytic_power", "trace_ratio_diagnostic", "deviation"}
-    for name in ("matmean", "matmean.engine", "matmean.core"):
+    gone = {"analytic_power", "trace_ratio_diagnostic", "deviation", "z_quantile", "ndtri"}
+    for name in ("matmean", "matmean.engine", "matmean.core", "matmean.normal"):
         assert not gone & offered[name].keys(), name
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from matmean.baselines import chen_qin_two_sample
 from matmean.core import DataStack, GroupPartition, build_projection
 from matmean.engine import (
     MIN_SUBJECTS,
@@ -12,9 +13,9 @@ from matmean.engine import (
     deviation_estimate,
     discover_structure,
     mean_matrix_test,
+    screen_row_sets,
     trace_cov_sq_fast,
     trace_cov_sq_naive,
-    z_quantile,
 )
 from matmean.engine import test_known_difference as known_difference_test
 from matmean.engine import test_known_matrix as known_matrix_test
@@ -46,11 +47,6 @@ def _brute_trace_cov_sq(g):
                     s4 += g[i, j] * g[k, l]
     n2 = n * (n - 1)
     return s2 / n2 - 2.0 * s3 / (n2 * (n - 2)) + s4 / (n2 * (n - 2) * (n - 3))
-
-
-def test_z_quantile():
-    assert z_quantile(0.05) == pytest.approx(1.6448536269514722, rel=1e-12)
-    assert z_quantile(0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gram_matches_definition():
@@ -182,9 +178,50 @@ def test_statistic_pipeline_consistency():
     expected_stat = dev / np.sqrt(2.0 * tsq / (n * (n - 1)))
     assert res.statistic == pytest.approx(expected_stat, rel=1e-12)
     assert res.p_value == pytest.approx(stats.norm.sf(res.statistic), rel=1e-12)
-    assert res.reject == (res.statistic >= z_quantile(0.05))
+    assert res.reject == (res.p_value < 0.05)
     assert res.deviation_est == pytest.approx(dev, rel=1e-12)
     assert res.trace_cov_sq == pytest.approx(tsq, rel=1e-12)
+
+
+def test_tiny_alpha_rejects_when_the_p_value_is_below_it():
+    # 1 - alpha rounds to 1 below about 1.1e-16, where a cutoff at the normal
+    # quantile of 1 - alpha would be inf and never reject
+    rng = np.random.default_rng(40)
+    part = GroupPartition.from_sizes((3, 3))
+    for shift in (1.0, 3.0):  # p about 1.9e-63, then p underflowing to 0
+        mean = np.zeros((20, 6))
+        mean[:, 5] = shift
+        res = mean_matrix_test(_random_stack(rng, 15, 20, 6, mean=mean), part, alpha=1e-17)
+        assert res.ok and res.p_value < 1e-17
+        assert res.reject
+    for alpha in (0.0, 1.0, -0.5, 2.0):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\), got"):
+            mean_matrix_test(_random_stack(rng, 6, 4, 6), part, alpha=alpha)
+
+
+def test_every_test_path_rejects_exactly_when_p_is_below_alpha():
+    rng = np.random.default_rng(44)
+    results = []
+    for shift in (0.0, 0.2, 0.4, 0.8):
+        for alpha in (0.01, 0.05, 0.3):
+            mean = np.zeros((8, 6))
+            mean[:4, 5] = shift
+            stack = _random_stack(rng, 10, 8, 6, mean=mean)
+            part = GroupPartition.from_sizes((3, 3))
+            results.append(mean_matrix_test(stack, part, alpha=alpha))
+            results.append(mean_matrix_test(stack, GroupPartition.from_sizes((4, 4)),
+                                            alpha=alpha, orientation="rows"))
+            results.append(known_matrix_test(stack, np.zeros((8, 6)), alpha=alpha))
+            results.append(known_difference_test(
+                stack.take_columns([4, 5]), 0.0, col_a=0, col_b=1, alpha=alpha))
+            results.extend(screen_row_sets(stack, part, [[0, 1, 2], [3, 4, 5, 6, 7]],
+                                           alpha=alpha))
+            results.append(chen_qin_two_sample(stack.values[:, :, 4], stack.values[:, :, 5],
+                                               alpha=alpha))
+    assert all(res.ok for res in results)
+    assert any(res.reject for res in results) and not all(res.reject for res in results)
+    for res in results:
+        assert res.reject == (res.p_value < res.alpha)
 
 
 def test_rejects_under_strong_group_violation():

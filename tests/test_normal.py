@@ -1,16 +1,14 @@
-"""The pure-Python normal tail and quantile against scipy.special, bit for bit.
+"""The pure-Python normal distribution function against scipy.special, bit for bit.
 
-``matmean.normal`` ports the Cephes routines that scipy evaluates, so
-every p-value and cutoff must carry the same bits as scipy's.  If the
+``matmean.normal`` ports the Cephes routine that scipy evaluates, so
+every p-value must carry the same bits as scipy's.  If the
 installed scipy changes its implementation, these tests fail loudly.
 """
 
 import numpy as np
-import pytest
 from scipy import special
 
-from matmean.engine import z_quantile
-from matmean.normal import ndtr, ndtri
+from matmean.normal import ndtr
 
 
 def _bits(values):
@@ -46,29 +44,8 @@ def test_ndtr_matches_scipy_bit_for_bit():
     _assert_bit_identical(ndtr, special.ndtr, points)
 
 
-def test_ndtri_matches_scipy_bit_for_bit():
-    rng = np.random.default_rng(20261019)
-    points = np.concatenate([
-        rng.uniform(0.0, 1.0, 300_000),
-        10.0 ** -rng.uniform(0.0, 300.0, 200_000),
-        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 200_000),
-        # branch edges: exp(-2), 1 - exp(-2) and exp(-32)
-        np.nextafter(np.repeat([np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0)], 2),
-                     np.tile([-np.inf, np.inf], 3)),
-        [0.0, 1.0, -0.0, -0.1, 1.1, -np.inf, np.inf, np.nan, 5e-324, 0.5,
-         np.nextafter(1.0, 0.0), np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0)],
-    ])
-    _assert_bit_identical(ndtri, special.ndtri, points)
-
-
-@pytest.mark.parametrize("alpha", [0.05, 0.01, 0.001, 0.1])
-def test_z_quantile_matches_scipy_bit_for_bit(alpha):
-    assert _bits(z_quantile(alpha)) == _bits(special.ndtri(1.0 - alpha))
-
-
 def test_scalars_of_any_float_type():
     # numpy scalars come in from the engine's arithmetic; the result is a float
     for value in (np.float64(1.5), np.float32(1.5), 1.5, 2):
         assert type(ndtr(value)) is float
         assert _bits(ndtr(value)) == _bits(special.ndtr(float(value)))
-    assert type(ndtri(np.float64(0.3))) is float
