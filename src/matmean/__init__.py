@@ -12,7 +12,6 @@ from importlib import import_module
 
 from .baselines import (
     PairwiseCqSummary,
-    PValueVector,
     adjust_pvalues,
     anova_rowwise,
     chen_qin_two_sample,
@@ -84,7 +83,6 @@ __all__ = [
     "PRESET_NAMES",
     "PairwiseCqSummary",
     "ProjectionMatrix",
-    "PValueVector",
     "RejectionReport",
     "RightBlockMean",
     "SimConfig",

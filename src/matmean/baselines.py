@@ -29,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DataStack, GroupPartition
-from .engine import TestResult, _standardize, deviation_estimate, trace_cov_sq_fast
+# trace_cov_sq_fast is not called here, but perfbench/tracer.py wraps it by name
+from .engine import TestResult, _gram, _one_sample_terms, _standardize, trace_cov_sq_fast
 
 __all__ = [
-    "PValueVector",
     "PairwiseCqSummary",
     "anova_rowwise",
     "kruskal_rowwise",
@@ -42,46 +42,8 @@ __all__ = [
 ]
 
 # rows whose within-group sum of squares falls below this relative
-# level are reported as degenerate rather than fed to an F tail
+# level are degenerate: they get p = 1 rather than an F tail
 _DEGENERATE_RTOL = 1e-10
-
-_METHODS = ("raw", "fdr", "bonferroni")
-
-
-@dataclass(frozen=True)
-class PValueVector:
-    """One p-value per row, plus which correction produced them.
-
-    ``degenerate_rows`` lists rows whose p was pinned to 1 because the
-    data could not support the test (for example a constant row).
-    """
-
-    values: np.ndarray
-    method: str
-    degenerate_rows: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("p-value vector must be a nonempty 1-d array")
-        if not np.isfinite(vals).all() or (vals < 0.0).any() or (vals > 1.0).any():
-            raise ValueError("p-values must lie in [0, 1]")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        bad = [b for b in self.degenerate_rows if not 0 <= b < vals.size]
-        if bad:
-            raise ValueError(f"degenerate row indices out of range: {bad}")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "degenerate_rows", tuple(self.degenerate_rows))
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def min_value(self) -> float:
-        return float(self.values.min())
 
 
 def _pooled_layout(stack: DataStack, partition: GroupPartition):
@@ -104,13 +66,13 @@ def _pooled_layout(stack: DataStack, partition: GroupPartition):
     return indicator, assign
 
 
-def anova_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector:
+def anova_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
     """One-way F test per row, pooling subjects within column groups.
 
     For each of the r rows, the N values in every column are pooled by
     the column's group, giving N*c_q replicates per group, and a
-    standard one-way ANOVA is run across the g groups.  Rows with no
-    within-group variation are flagged and given p = 1.
+    standard one-way ANOVA is run across the g groups.  Returns one
+    p-value per row; rows with no within-group variation get p = 1.
     """
     from scipy.special import fdtrc
 
@@ -138,7 +100,7 @@ def anova_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector:
     if live.any():
         f = (ss_between[live] / df1) / (ss_within[live] / df2)
         p[live] = fdtrc(df1, df2, np.maximum(f, 0.0))
-    return PValueVector(p, "raw", tuple(np.flatnonzero(degenerate).tolist()))
+    return p
 
 
 def _rank_in_place(flat: np.ndarray) -> tuple:
@@ -173,12 +135,12 @@ def _rank_in_place(flat: np.ndarray) -> tuple:
     return order, all_tied, tie_sum
 
 
-def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector:
+def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
     """Kruskal-Wallis test per row with mid-rank tie correction.
 
     Same pooling as anova_rowwise but on ranks, so it is exactly
     invariant under monotone transformations of a row.  All-tied rows
-    are flagged and given p = 1.
+    get p = 1.
     """
     from scipy.special import chdtrc
 
@@ -208,39 +170,36 @@ def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> PValueVector
     live = ~all_tied
     if live.any():
         p[live] = chdtrc(g - 1, np.maximum(h[live] / correction[live], 0.0))
-    return PValueVector(p, "raw", tuple(np.flatnonzero(all_tied).tolist()))
+    return p
 
 
-def _bonferroni(p: np.ndarray, m: int | None = None) -> np.ndarray:
-    return np.minimum(1.0, p * (p.size if m is None else m))
-
-
-def _bh_stepup(p: np.ndarray) -> np.ndarray:
-    m = p.size
-    order = np.argsort(p, kind="stable")
-    scaled = p[order] * m / np.arange(1, m + 1)
-    adj_sorted = np.minimum.accumulate(scaled[::-1])[::-1]
-    adj = np.empty(m)
-    adj[order] = np.minimum(adj_sorted, 1.0)
-    return adj
-
-
-def adjust_pvalues(raw: PValueVector, method: str) -> PValueVector:
+def adjust_pvalues(p, method: str, family: int | None = None) -> np.ndarray:
     """Multiplicity adjustment: Benjamini-Hochberg step-up or Bonferroni.
 
-    The step-up values are computed by the usual reversed cumulative
-    minimum, so they are monotone in the sorted order and never exceed
-    the Bonferroni values.
+    ``p`` is a 1-d array; a NaN marks a failed test, stays NaN and is left
+    out of the family, whose size is the number of other entries unless
+    ``family`` gives it.  Step-up values come from the reversed cumulative
+    minimum, so they are monotone in p and never exceed Bonferroni's.
     """
-    if raw.method != "raw":
-        raise ValueError(f"expected raw p-values, got method={raw.method!r}")
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise ValueError(f"p-values must form a 1-d array, got shape {p.shape}")
+    live = ~np.isnan(p)
+    q = p[live]
+    if ((q < 0.0) | (q > 1.0)).any():
+        raise ValueError("p-values must lie in [0, 1]")
+    m = q.size if family is None else family
     if method == "bonferroni":
-        adjusted = _bonferroni(raw.values)
+        q = np.minimum(1.0, q * m)
     elif method == "fdr":
-        adjusted = _bh_stepup(raw.values)
+        order = np.argsort(q, kind="stable")
+        scaled = q[order] * m / np.arange(1, q.size + 1)
+        q[order] = np.minimum(np.minimum.accumulate(scaled[::-1])[::-1], 1.0)
     else:
         raise ValueError(f"method must be 'fdr' or 'bonferroni', got {method!r}")
-    return PValueVector(adjusted, method, raw.degenerate_rows)
+    adjusted = np.full(p.shape, np.nan)
+    adjusted[live] = q
+    return adjusted
 
 
 def _cross_trace_estimate(cross: np.ndarray) -> np.ndarray:
@@ -273,12 +232,6 @@ def _cross_trace_estimate(cross: np.ndarray) -> np.ndarray:
     return t1 - t2a - t2b + t3
 
 
-def _within(gram: np.ndarray) -> tuple:
-    """Location and variance terms of one group, from its gram(s)."""
-    n = gram.shape[-1]
-    return deviation_estimate(gram), 2.0 * trace_cov_sq_fast(gram) / (n * (n - 1))
-
-
 def _cq_results(
     within_a, within_b, cross: np.ndarray, dim: int, alpha: float
 ) -> list[TestResult]:
@@ -287,7 +240,7 @@ def _cq_results(
     Terms that overflow are left non-finite, without a warning: the
     result reports them as a failure.
     """
-    (loc_a, var_a), (loc_b, var_b) = within_a, within_b
+    (loc_a, _, var_a), (loc_b, _, var_b) = within_a, within_b
     n1, n2 = cross.shape[-2:]
     with np.errstate(over="ignore", invalid="ignore"):
         loc = loc_a + loc_b - 2.0 * cross.sum(axis=(-2, -1)) / (n1 * n2)
@@ -322,8 +275,9 @@ def chen_qin_two_sample(group1, group2, alpha: float = 0.05) -> TestResult:
     if x.shape[0] < 4 or y.shape[0] < 4:
         raise ValueError("each group needs at least 4 vectors")
     with np.errstate(over="ignore", invalid="ignore"):
-        grams = x @ x.T, y @ y.T, x @ y.T
-    return _cq_results(_within(grams[0]), _within(grams[1]), grams[2], x.shape[1], alpha)[0]
+        cross = x @ y.T
+    terms = _one_sample_terms(_gram(x)), _one_sample_terms(_gram(y))
+    return _cq_results(*terms, cross, x.shape[1], alpha)[0]
 
 
 @dataclass(frozen=True)
@@ -331,8 +285,9 @@ class PairwiseCqSummary:
     """All-pairs two-sample scan over columns with Bonferroni control.
 
     ``p_values`` are the raw one-sided p per pair (NaN where the pair
-    test failed); ``adjusted`` multiplies by the full pair count.  The
-    family-wise decision rejects when any adjusted p falls below alpha.
+    test failed); ``adjusted`` multiplies by the full pair count, failed
+    pairs included.  The family-wise decision rejects when any adjusted p
+    falls below alpha.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -364,14 +319,14 @@ def pairwise_cq_procedure(stack: DataStack, alpha: float = 0.05) -> PairwiseCqSu
         raise ValueError("pairwise scan needs at least 2 columns")
     flat = stack.values.transpose(2, 0, 1).reshape(c * n, r)
     # block (a, b) of the column gram is big[a, :, b, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        big = (flat @ flat.T).reshape(c, n, c, n)
+    big = _gram(flat).reshape(c, n, c, n)
     cols = np.arange(c)
-    loc, var = _within(big[cols, :, cols, :])
+    within = _one_sample_terms(big[cols, :, cols, :])
     ia, ib = np.triu_indices(c, 1)
-    results = _cq_results((loc[ia], var[ia]), (loc[ib], var[ib]), big[ia, :, ib, :], r, alpha)
+    results = _cq_results([t[ia] for t in within], [t[ib] for t in within],
+                          big[ia, :, ib, :], r, alpha)
     raw = np.array([res.p_value for res in results])
-    adjusted = _bonferroni(raw)  # NaN where a pair failed
+    adjusted = adjust_pvalues(raw, "bonferroni", family=raw.size)
     valid = ~np.isnan(adjusted)
     return PairwiseCqSummary(
         pairs=tuple(zip(ia.tolist(), ib.tolist())),

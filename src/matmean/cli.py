@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import DEFAULT_REPLICATES, PRESET_NAMES
-from .baselines import PValueVector, adjust_pvalues
+from .baselines import adjust_pvalues
 from .core import GroupPartition
 from .engine import (
     discover_structure,
@@ -278,25 +278,23 @@ def cmd_screen(args) -> int:
     results = screen_row_sets(
         stack, partition, [rows for _, rows in tested], alpha=args.alpha
     ) if tested else []
-    ok = [k for k, result in enumerate(results) if result.ok]
-    adjusted = {}
-    if ok:
-        raw = PValueVector(np.array([results[k].p_value for k in ok]), method="raw")
-        adjusted = dict(zip(ok, adjust_pvalues(raw, method=args.correction).values.tolist()))
+    # the family is the sets that ran; a failed set's p-values are NaN
+    p = np.array([result.p_value for result in results])
+    adjusted = adjust_pvalues(p, args.correction).tolist()
     entries = [
         {
             "name": name,
             "n_rows": len(indices),
             "statistic": result.statistic,
             "p_value": result.p_value,
-            "p_adjusted": adjusted.get(k),
-            "reject": adjusted[k] < args.alpha if k in adjusted else None,
+            "p_adjusted": adjusted[k],
+            "reject": adjusted[k] < args.alpha if result.ok else None,
             "failure": result.failure,
         }
         for k, ((name, indices), result) in enumerate(zip(tested, results))
     ]
     warnings: list[str] = []
-    n_failed = len(results) - len(ok)
+    n_failed = sum(1 for result in results if not result.ok)
     if n_failed:
         warnings.append(f"{n_failed} set(s) failed and were excluded from adjustment")
     if skipped:
@@ -319,7 +317,7 @@ def cmd_screen(args) -> int:
             lines.append(",".join(_csv_cell(_jsonable(e[k])) for k in keys))
         _write_text(args.csv, "\n".join(lines) + "\n")
 
-    if not ok:
+    if n_failed == len(results):
         sys.stderr.write("error: no row set produced a usable test result\n")
         return 1
     return 0
@@ -441,6 +439,8 @@ def cmd_simulate(args) -> int:
         config = SimConfig.from_dict(raw)
     except KeyError as e:
         raise CliError(f"{args.config}: missing field {e}")
+    except ValueError as e:
+        raise CliError(f"{args.config}: {e}")
     if args.reps is not None:
         config = dataclasses.replace(config, replicates=args.reps)
     if args.seed is not None:

@@ -231,6 +231,13 @@ def _standardize(
     return results
 
 
+def _one_sample_terms(grams: np.ndarray) -> tuple:
+    """Location, trace and variance 2 tr(Sigma^2) / (N (N-1)) of one sample per gram."""
+    n = grams.shape[-1]
+    tsq = trace_cov_sq_fast(grams)
+    return deviation_estimate(grams), tsq, 2.0 * tsq / (n * (n - 1))
+
+
 def _gram_results(grams: np.ndarray, alpha: float, r_used, **common) -> list[TestResult]:
     """The test on each gram of a batch of shape (..., N, N)."""
     n = grams.shape[-1]
@@ -238,10 +245,8 @@ def _gram_results(grams: np.ndarray, alpha: float, r_used, **common) -> list[Tes
         raise ValueError(
             f"the variance estimator needs at least {MIN_SUBJECTS} subjects, got {n}"
         )
-    tsq = trace_cov_sq_fast(grams)
     return _standardize(
-        deviation_estimate(grams), tsq, 2.0 * tsq / (n * (n - 1)), r_used, alpha,
-        "trace estimate", n_used=n, **common,
+        *_one_sample_terms(grams), r_used, alpha, "trace estimate", n_used=n, **common
     )
 
 
@@ -411,7 +416,7 @@ def discover_structure(stack: DataStack, alpha: float = 0.05) -> dict:
     into the final grouping, which is then tested as a whole.
     """
     # imported here because the baselines module imports this one
-    from .baselines import PValueVector, _bonferroni, adjust_pvalues
+    from .baselines import adjust_pvalues
 
     c = stack.n_cols
     overall = mean_matrix_test(stack, GroupPartition.from_sizes((c,)), alpha=alpha)
@@ -433,20 +438,17 @@ def discover_structure(stack: DataStack, alpha: float = 0.05) -> dict:
         _pair_grams(stack.values), alpha, r_used=stack.n_rows, c_used=2,
         orientation="columns",
     )
-    ok = [k for k, result in enumerate(results) if result.ok]
-    p_fdr, p_bonferroni = {}, {}
-    if ok:
-        p = np.array([results[k].p_value for k in ok])
-        fdr = adjust_pvalues(PValueVector(p, method="raw"), method="fdr").values
-        p_fdr = dict(zip(ok, fdr.tolist()))
-        # The family is every attempted pair, including failed ones.
-        p_bonferroni = dict(zip(ok, _bonferroni(p, len(all_pairs)).tolist()))
+    p = np.array([result.p_value for result in results])
+    # FDR over the pairs that ran; Bonferroni over every attempted pair.
+    # A failed pair's adjusted p-values are NaN.
+    p_fdr = adjust_pvalues(p, "fdr").tolist()
+    p_bonferroni = adjust_pvalues(p, "bonferroni", family=p.size).tolist()
     entries = [
         {
             "cols": [i, j],
             "p_value": result.p_value,
-            "p_fdr": p_fdr.get(k),
-            "p_bonferroni": p_bonferroni.get(k),
+            "p_fdr": p_fdr[k],
+            "p_bonferroni": p_bonferroni[k],
             "failure": result.failure,
         }
         for k, ((i, j), result) in enumerate(zip(all_pairs, results))

@@ -316,7 +316,7 @@ def mean_from_dict(d: dict):
 def _family_verdicts(raw, alpha: float) -> tuple:
     """FDR then Bonferroni: reject iff the smallest adjusted p is below alpha."""
     return tuple(
-        adjust_pvalues(raw, how).min_value < alpha for how in ("fdr", "bonferroni")
+        bool(adjust_pvalues(raw, how).min() < alpha) for how in ("fdr", "bonferroni")
     )
 
 
@@ -374,7 +374,10 @@ class SimConfig:
             raise ValueError("replicates must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        methods = tuple(self.methods)
+        methods = self.methods
+        if not isinstance(methods, (list, tuple)) or not all(isinstance(m, str) for m in methods):
+            raise ValueError(f"methods must be a list of names, got {methods!r}")
+        methods = tuple(methods)
         if not methods:
             raise ValueError("at least one method is required")
         unknown = [m for m in methods if m not in _METHODS]
@@ -409,18 +412,26 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
+        """A missing field raises KeyError, a malformed one a ValueError naming it."""
+
+        def field(name, parse, *default):
+            try:
+                return parse(d[name]) if name in d or not default else default[0]
+            except (TypeError, AttributeError, ValueError) as e:
+                raise ValueError(f"field {name!r}: {e}") from None
+
         return cls(
-            n_subjects=int(d["n_subjects"]),
-            n_rows=int(d["n_rows"]),
-            n_cols=int(d["n_cols"]),
-            scenario=NoiseScenario.from_tag(d["scenario"]),
-            covariance=covariance_from_dict(d["covariance"]),
-            mean=mean_from_dict(d["mean"]),
-            partition=GroupPartition(tuple(int(g) for g in d["partition"])),
-            alpha=float(d.get("alpha", 0.05)),
-            replicates=int(d.get("replicates", 1000)),
-            seed=int(d.get("seed", 0)),
-            methods=tuple(d.get("methods", ("proposed",))),
+            n_subjects=field("n_subjects", int),
+            n_rows=field("n_rows", int),
+            n_cols=field("n_cols", int),
+            scenario=field("scenario", NoiseScenario.from_tag),
+            covariance=field("covariance", covariance_from_dict),
+            mean=field("mean", mean_from_dict),
+            partition=field("partition", lambda v: GroupPartition(tuple(int(g) for g in v))),
+            alpha=field("alpha", float, 0.05),
+            replicates=field("replicates", int, 1000),
+            seed=field("seed", int, 0),
+            methods=d.get("methods", ("proposed",)),
         )
 
 

@@ -3,7 +3,6 @@ import pytest
 from scipy import stats
 
 from matmean.baselines import (
-    PValueVector,
     adjust_pvalues,
     anova_rowwise,
     chen_qin_two_sample,
@@ -28,10 +27,10 @@ def test_anova_matches_scipy_rowwise():
     stack = DataStack(rng.standard_normal((7, 9, 6)))
     part = GroupPartition.from_sizes((2, 2, 2))
     got = anova_rowwise(stack, part)
-    assert got.method == "raw" and len(got) == 9
+    assert got.shape == (9,)
     for row in range(9):
         _, p = stats.f_oneway(*_group_samples(stack, part, row))
-        assert got.values[row] == pytest.approx(p, rel=1e-10)
+        assert got[row] == pytest.approx(p, rel=1e-10)
 
 
 def test_anova_flags_constant_row():
@@ -39,8 +38,7 @@ def test_anova_flags_constant_row():
     vals = rng.standard_normal((5, 4, 6))
     vals[:, 2, :] = 3.25  # no within-group variance anywhere in row 2
     got = anova_rowwise(DataStack(vals), GroupPartition.from_sizes((3, 3)))
-    assert 2 in got.degenerate_rows
-    assert got.values[2] == 1.0
+    assert got[2] == 1.0
 
 
 def test_anova_zero_within_variance_beats_between_variance():
@@ -50,8 +48,7 @@ def test_anova_zero_within_variance_beats_between_variance():
     vals[:, 1, :2] = 1.0
     vals[:, 1, 2:] = 5.0
     got = anova_rowwise(DataStack(vals), GroupPartition.from_sizes((2, 2)))
-    assert 1 in got.degenerate_rows
-    assert got.values[1] == 1.0
+    assert got[1] == 1.0
 
 
 def test_kruskal_matches_scipy_rowwise():
@@ -61,7 +58,7 @@ def test_kruskal_matches_scipy_rowwise():
     got = kruskal_rowwise(stack, part)
     for row in range(8):
         _, p = stats.kruskal(*_group_samples(stack, part, row))
-        assert got.values[row] == pytest.approx(p, rel=1e-9)
+        assert got[row] == pytest.approx(p, rel=1e-9)
 
 
 def test_kruskal_matches_scipy_with_ties():
@@ -75,7 +72,7 @@ def test_kruskal_matches_scipy_with_ties():
         if all(np.ptp(np.concatenate(samples)) == 0 for _ in [0]):
             continue
         _, p = stats.kruskal(*samples)
-        assert got.values[row] == pytest.approx(p, rel=1e-9), f"row {row}"
+        assert got[row] == pytest.approx(p, rel=1e-9), f"row {row}"
 
 
 def test_kruskal_flags_all_tied_row():
@@ -83,7 +80,7 @@ def test_kruskal_flags_all_tied_row():
     vals = rng.standard_normal((5, 3, 4))
     vals[:, 0, :] = 7.0
     got = kruskal_rowwise(DataStack(vals), GroupPartition.from_sizes((2, 2)))
-    assert 0 in got.degenerate_rows and got.values[0] == 1.0
+    assert got[0] == 1.0
 
 
 def _rowwise_layout(stack, partition):
@@ -156,35 +153,38 @@ def test_rowwise_baselines_equal_scipy_stats_exactly():
                               (kruskal_rowwise, _kruskal_reference)):
             got = fn(st, part)
             p, degenerate = reference(st, part)
-            assert got.values.tobytes() == p.tobytes(), fn.__name__
-            assert got.degenerate_rows == degenerate, fn.__name__
-    assert kruskal_rowwise(stack, GroupPartition.from_sizes((2, 2, 2))).degenerate_rows == (2,)
+            assert got.tobytes() == p.tobytes(), fn.__name__
+            assert (got[list(degenerate)] == 1.0).all(), fn.__name__
+    assert kruskal_rowwise(stack, GroupPartition.from_sizes((2, 2, 2)))[2] == 1.0
 
 
-def test_pvalue_vector_validation():
+def test_adjust_pvalues_input_checks():
     with pytest.raises(ValueError, match=r"in \[0, 1\]"):
-        PValueVector(np.array([0.5, 1.2]), method="raw")
-    with pytest.raises(ValueError):
-        PValueVector(np.array([[0.5]]), method="raw")
-    with pytest.raises(ValueError):
-        PValueVector(np.array([0.5]), method="something")
-    v = PValueVector(np.array([0.7, 0.1]), method="raw")
-    assert v.min_value == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        v.values[0] = 0.0  # read-only
+        adjust_pvalues(np.array([0.5, 1.2]), "fdr")
+    for bad in (-0.1, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            adjust_pvalues(np.array([0.5, bad]), "bonferroni")
+    with pytest.raises(ValueError, match="1-d"):
+        adjust_pvalues(np.array([[0.5]]), "fdr")
+    with pytest.raises(ValueError, match="'fdr' or 'bonferroni'"):
+        adjust_pvalues(np.array([0.5]), "hochberg")
+    with pytest.raises(ValueError, match="'fdr' or 'bonferroni'"):
+        adjust_pvalues(np.array([0.5]), "raw")
+    # the input is not written to
+    p = np.array([0.7, 0.1])
+    adjust_pvalues(p, "fdr")
+    assert p.tolist() == [0.7, 0.1]
 
 
 def test_bonferroni_hand_values():
-    raw = PValueVector(np.array([0.01, 0.4, 0.9]), method="raw")
-    adj = adjust_pvalues(raw, method="bonferroni")
-    assert adj.method == "bonferroni"
-    assert np.allclose(adj.values, [0.03, 1.0, 1.0])
+    adj = adjust_pvalues(np.array([0.01, 0.4, 0.9]), "bonferroni")
+    assert np.allclose(adj, [0.03, 1.0, 1.0])
 
 
 def test_bh_hand_values():
     # worked example: sorted p * m / rank, then running min from the right
-    raw = PValueVector(np.array([0.04, 0.005, 0.02, 0.011, 0.05]), method="raw")
-    adj = adjust_pvalues(raw, method="fdr")
+    raw = np.array([0.04, 0.005, 0.02, 0.011, 0.05])
+    adj = adjust_pvalues(raw, "fdr")
     expected = {
         0.005: 0.025,       # 0.005 * 5/1
         0.011: 0.0275,      # 0.011 * 5/2
@@ -193,28 +193,45 @@ def test_bh_hand_values():
         0.05: 0.05,
     }
     for p, e in expected.items():
-        k = int(np.where(raw.values == p)[0][0])
-        assert adj.values[k] == pytest.approx(e, rel=1e-12)
+        k = int(np.where(raw == p)[0][0])
+        assert adj[k] == pytest.approx(e, rel=1e-12)
 
 
 def test_bh_never_exceeds_bonferroni_and_preserves_order():
     rng = np.random.default_rng(57)
     p = rng.uniform(size=40)
-    raw = PValueVector(p, method="raw")
-    bh = adjust_pvalues(raw, method="fdr").values
-    bon = adjust_pvalues(raw, method="bonferroni").values
+    bh = adjust_pvalues(p, "fdr")
+    bon = adjust_pvalues(p, "bonferroni")
     assert (bh <= bon + 1e-15).all()
     order = np.argsort(p)
     assert (np.diff(bh[order]) >= -1e-15).all(), "BH must be monotone in p"
 
 
-def test_adjust_requires_raw_input():
-    raw = PValueVector(np.array([0.2, 0.3]), method="raw")
-    once = adjust_pvalues(raw, method="fdr")
-    with pytest.raises(ValueError, match="raw"):
-        adjust_pvalues(once, method="fdr")
-    with pytest.raises(ValueError):
-        adjust_pvalues(raw, method="hochberg")
+def test_adjust_pvalues_leaves_failed_tests_out_of_the_family():
+    rng = np.random.default_rng(67)
+    live = rng.uniform(size=12) * 0.1
+    p = np.full(17, np.nan)
+    at = np.sort(rng.choice(17, size=12, replace=False))
+    p[at] = live
+    for method in ("fdr", "bonferroni"):
+        adj = adjust_pvalues(p, method)
+        assert np.isnan(np.delete(adj, at)).all(), method
+        # the same bits as adjusting only the tests that ran
+        assert adj[at].tobytes() == adjust_pvalues(live, method).tobytes(), method
+    # nothing ran: nothing to adjust
+    assert np.isnan(adjust_pvalues(np.full(3, np.nan), "fdr")).all()
+    assert adjust_pvalues(np.array([]), "bonferroni").shape == (0,)
+
+
+def test_adjust_pvalues_family_sets_the_count():
+    p = np.array([0.01, np.nan, 0.02, np.nan])
+    # Bonferroni over every attempted test, failed ones included
+    bon = adjust_pvalues(p, "bonferroni", family=4)
+    assert bon[[0, 2]].tolist() == [0.04, 0.08] and np.isnan(bon[[1, 3]]).all()
+    assert adjust_pvalues(p, "bonferroni")[[0, 2]].tolist() == [0.02, 0.04]
+    assert adjust_pvalues(np.array([0.25, 0.5]), "bonferroni", family=3).tolist() == [0.75, 1.0]
+    # BH: rank k of the tests that ran, scaled by family / k
+    assert adjust_pvalues(p, "fdr", family=4)[[0, 2]].tolist() == [0.04, 0.04]
 
 
 def _brute_cross_trace(c):

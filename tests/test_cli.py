@@ -361,6 +361,50 @@ def test_screen_bonferroni_dominates_fdr(tmp_path, capsys):
         assert e_b["p_adjusted"] >= e_f["p_adjusted"] - 1e-15
 
 
+def _bh_reference(ps):
+    """Benjamini-Hochberg adjusted values, rank by rank in plain Python."""
+    order = sorted(range(len(ps)), key=lambda k: ps[k])
+    out, running = [0.0] * len(ps), 1.0
+    for rank in range(len(ps), 0, -1):
+        k = order[rank - 1]
+        running = min(running, ps[k] * len(ps) / rank)
+        out[k] = running
+    return out
+
+
+@pytest.mark.parametrize("correction", ["fdr", "bonferroni"])
+def test_screen_leaves_a_failed_set_out_of_the_family(tmp_path, capsys, correction):
+    data, sets = _screen_fixture(tmp_path)
+    v = load_stack(str(data)).stack.values.copy()
+    v[:, 20:, :] = 0.0  # the rows of "quiet" centre to zero: its test fails
+    write_stack_file(str(data), DataStack(v))
+    with open(sets, "a") as fh:
+        fh.write("second\t" + "\t".join(str(k) for k in range(1, 11)) + "\n")
+    out = tmp_path / "screen.csv"
+    code, report, _ = _run(
+        ["screen", str(data), "--sets", str(sets), "--partition", "sizes=3,3",
+         "--correction", correction, "--csv", str(out)],
+        capsys,
+    )
+    assert code == 0
+    by_name = {e["name"]: e for e in report["sets"]}
+    dead = by_name["quiet"]
+    assert dead["failure"] is not None
+    assert dead["p_value"] is None and dead["p_adjusted"] is None and dead["reject"] is None
+    assert "1 set(s) failed and were excluded from adjustment" in report["warnings"]
+    # the two sets that ran form the family
+    raw = [by_name[name]["p_value"] for name in ("big", "second")]
+    if correction == "fdr":
+        expected = _bh_reference(raw)
+    else:
+        expected = [min(1.0, p * 2) for p in raw]
+    for name, e in zip(("big", "second"), expected):
+        assert by_name[name]["p_adjusted"] == pytest.approx(e, rel=1e-12)
+        assert by_name[name]["reject"] == (by_name[name]["p_adjusted"] < 0.05)
+    rows = {line.split(",")[0]: line for line in out.read_text().splitlines()[1:]}
+    assert rows["quiet"] == "quiet,10,,,,"
+
+
 def test_screen_unknown_row_id_is_fatal(tmp_path, capsys):
     data, _ = _screen_fixture(tmp_path)
     sets = tmp_path / "bad_sets.txt"
@@ -456,6 +500,25 @@ def test_discover_null_stop_rate_matches_level():
         if discover_structure(DataStack(v))["conclusion"] == "column-independent mean":
             stops += 1
     assert stops / reps >= 0.90
+
+
+def test_discover_failed_pair_counts_in_the_bonferroni_family(tmp_path, capsys):
+    v = _effect_file(tmp_path / "unused.tsv", seed=42)
+    v[:, :, 1] = v[:, :, 0]  # the pair (0, 1) has a zero difference: its test fails
+    data = tmp_path / "twin.tsv"
+    write_stack_file(str(data), DataStack(v))
+    code, report, _ = _run(["discover", str(data)], capsys)
+    assert code == 0
+    pairs = report["steps"]["pairs"]
+    assert len(pairs) == 15
+    failed = [e for e in pairs if e["failure"] is not None]
+    assert [e["cols"] for e in failed] == [[0, 1]]
+    assert failed[0]["p_fdr"] is None and failed[0]["p_bonferroni"] is None
+    ran = [e for e in pairs if e["failure"] is None]
+    # Bonferroni counts all 15 attempted pairs; FDR only the 14 that ran
+    for e, fdr in zip(ran, _bh_reference([e["p_value"] for e in ran])):
+        assert e["p_bonferroni"] == min(1.0, e["p_value"] * 15)
+        assert e["p_fdr"] == pytest.approx(fdr, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +649,22 @@ def test_simulate_malformed_config_names_the_problem(tmp_path, capsys, case):
     code, report, err = _run(["simulate", "--config", str(path)], capsys)
     assert code == 1 and report is None
     assert err == f"error: {path}: {expected}\n"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("partition", 5), ("covariance", []), ("mean", "zero"), ("n_rows", None),
+    ("methods", "proposed"), ("methods", ["proposed", 3]), ("alpha", "high"),
+], ids=["partition=5", "covariance=[]", "mean=zero", "n_rows=null", "methods=string",
+        "methods=mixed", "alpha=string"])
+def test_simulate_config_field_of_the_wrong_type_is_named(tmp_path, capsys, field, value):
+    raw = json.loads(_method_config(tmp_path / "good.json", ("proposed",)).read_text())
+    raw[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, report, err = _run(["simulate", "--config", str(path)], capsys)
+    assert code == 1 and report is None
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert repr(field) in err or f"{field} " in err
 
 
 def test_simulate_csv_identical_across_worker_counts(tmp_path, capsys):
@@ -764,8 +843,10 @@ def test_every_module_star_import_resolves():
         namespace = {}
         exec(f"from {name} import *", namespace)
         offered[name] = namespace
-    gone = {"analytic_power", "trace_ratio_diagnostic", "deviation", "z_quantile", "ndtri"}
-    for name in ("matmean", "matmean.engine", "matmean.core", "matmean.normal"):
+    gone = {"analytic_power", "trace_ratio_diagnostic", "deviation", "z_quantile", "ndtri",
+            "PValueVector"}
+    for name in ("matmean", "matmean.engine", "matmean.core", "matmean.normal",
+                 "matmean.baselines"):
         assert not gone & offered[name].keys(), name
 
 
