@@ -158,7 +158,7 @@ def test_rowwise_baselines_equal_scipy_stats_exactly():
     assert kruskal_rowwise(stack, GroupPartition.from_sizes((2, 2, 2)))[2] == 1.0
 
 
-def test_adjust_pvalues_input_checks():
+def test_pvalue_vector_validation():
     with pytest.raises(ValueError, match=r"in \[0, 1\]"):
         adjust_pvalues(np.array([0.5, 1.2]), "fdr")
     for bad in (-0.1, np.inf, -np.inf):
@@ -166,14 +166,19 @@ def test_adjust_pvalues_input_checks():
             adjust_pvalues(np.array([0.5, bad]), "bonferroni")
     with pytest.raises(ValueError, match="1-d"):
         adjust_pvalues(np.array([[0.5]]), "fdr")
-    with pytest.raises(ValueError, match="'fdr' or 'bonferroni'"):
-        adjust_pvalues(np.array([0.5]), "hochberg")
-    with pytest.raises(ValueError, match="'fdr' or 'bonferroni'"):
-        adjust_pvalues(np.array([0.5]), "raw")
     # the input is not written to
     p = np.array([0.7, 0.1])
     adjust_pvalues(p, "fdr")
     assert p.tolist() == [0.7, 0.1]
+
+
+def test_adjust_requires_raw_input():
+    # the input is always raw p-values: the method names an adjustment,
+    # and "raw" is not one
+    with pytest.raises(ValueError, match="'fdr' or 'bonferroni'"):
+        adjust_pvalues(np.array([0.5]), "hochberg")
+    with pytest.raises(ValueError, match="'fdr' or 'bonferroni'"):
+        adjust_pvalues(np.array([0.5]), "raw")
 
 
 def test_bonferroni_hand_values():
