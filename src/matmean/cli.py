@@ -21,7 +21,7 @@ import numpy as np
 
 from . import DEFAULT_REPLICATES, PRESET_NAMES
 from .baselines import adjust_pvalues
-from .core import GroupPartition
+from .core import GroupPartition, RunAborted
 from .engine import (
     discover_structure,
     mean_matrix_test,
@@ -96,14 +96,6 @@ def _result_block(result, unit_ids=None) -> dict:
     if unit_ids is not None:
         d["dropped_columns"] = [unit_ids[k] for k in result.dropped_columns]
     return d
-
-
-def _partition_block(partition: GroupPartition) -> dict:
-    return {
-        "assignment": list(partition.assignment),
-        "sizes": list(partition.sizes),
-        "n_groups": partition.n_groups,
-    }
 
 
 def _write_text(path: str, text: str) -> None:
@@ -199,7 +191,7 @@ def cmd_test(args) -> int:
     if args.partition is not None:
         partition = parse_partition_spec(args.partition, unit_ids)
         result = mean_matrix_test(stack, partition, alpha=args.alpha)
-        report["hypothesis"] = {"mode": "partition", "partition": _partition_block(partition)}
+        report["hypothesis"] = {"mode": "partition", "partition": partition.to_dict()}
         if result.dropped_columns:
             warnings.append(
                 "singleton-group columns were dropped before testing: "
@@ -302,7 +294,7 @@ def cmd_screen(args) -> int:
 
     report = _envelope("screen", args.alpha, warnings)
     report["data"] = _data_block(loaded, args.data, "columns")
-    report["partition"] = _partition_block(partition)
+    report["partition"] = partition.to_dict()
     report["correction"] = args.correction
     report["min_set_size"] = args.min_set_size
     report["sets"] = entries
@@ -517,7 +509,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as e:
+    except (CliError, ValueError, OSError, RunAborted) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
 

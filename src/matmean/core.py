@@ -4,14 +4,16 @@ A dataset is a stack of N matrices, each r x c, one per subject.  A
 grouping of the c columns expresses the hypothesis that within every
 group the column mean vectors coincide.  The projection built here
 centers each column within its group, so a mean matrix satisfies the
-hypothesis exactly when the projected mean is zero.
+hypothesis exactly when the projected mean is zero.  The JSON form of
+the result and simulation-config records is written and read here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property, partial
+from types import UnionType
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -21,7 +23,12 @@ __all__ = [
     "DataStack",
     "build_projection",
     "drop_singletons",
+    "RunAborted",
 ]
+
+
+class RunAborted(RuntimeError):
+    """A Monte Carlo run stopped because a method failed on too many replicates."""
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,13 @@ class GroupPartition:
     def group_columns(self, q: int) -> tuple[int, ...]:
         """0-based column indices of group q (1-based)."""
         return tuple(b for b, gid in enumerate(self.assignment) if gid == q)
+
+    def to_dict(self) -> dict:
+        return {
+            "assignment": list(self.assignment),
+            "sizes": list(self.sizes),
+            "n_groups": self.n_groups,
+        }
 
     def singleton_columns(self) -> tuple[int, ...]:
         """0-based indices of columns that sit alone in their group."""
@@ -271,3 +285,106 @@ def drop_singletons(
         raise ValueError("all groups are singletons; nothing left to test")
     reduced = GroupPartition.from_labels(partition.assignment[b] for b in keep)
     return stack.take_columns(keep), reduced
+
+
+# ---------------------------------------------------------------------------
+# JSON form of records and specs
+#
+# A spec is a record whose ``kind`` names it in its family (the factors,
+# the covariances, the means).  Each field's annotation says which JSON
+# type it is read from.
+
+
+class _Record:
+    """Base of a dataclass whose ``to_dict`` is its JSON form.
+
+    A spec gives its kind as a class keyword, as in
+    ``class Ar1Factor(_Record, kind="ar1")``.
+    """
+
+    def __init_subclass__(cls, kind: str | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if kind is not None:
+            cls.kind = kind
+
+    def to_dict(self) -> dict:
+        """``{"kind": kind, field: value, ...}``, the fields in declared order.
+
+        Only a spec has the "kind" key.  Nested records become objects,
+        tuples lists and arrays nested lists.
+        """
+        out = {"kind": self.kind} if hasattr(self, "kind") else {}
+        for f in fields(self):
+            out[f.name] = _json_value(getattr(self, f.name))
+        return out
+
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value.to_dict() if isinstance(value, _Record) else value
+
+
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string",
+                    list: "a list", dict: "an object"}
+
+
+def _json_typed(value, json_type: type):
+    """``value`` if it has the JSON type, else a ValueError.
+
+    A bool is neither an integer nor a number; a number is an int or a float.
+    """
+    accepted = (int, float) if json_type is float else json_type
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"expected {_JSON_TYPE_NAMES[json_type]}, got {value!r}")
+    return value
+
+
+def _read_value(hint, value):
+    """A JSON value read as the declared type ``hint``.
+
+    ``tuple[X, ...]`` reads a list, a union of spec classes an object
+    whose "kind" picks the class, an array a (nested) list, and int,
+    float and str their own JSON types.
+    """
+    if get_origin(hint) is tuple:
+        return tuple(_read_value(get_args(hint)[0], v) for v in _json_typed(value, list))
+    if isinstance(hint, UnionType):
+        return _spec_from_dict(hint, value)
+    if hint is np.ndarray:
+        return _json_typed(value, list)
+    return hint(_json_typed(value, hint))
+
+
+def _read_fields(cls, d: dict, **readers) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from the JSON object ``d``.
+
+    A field is read by its entry in ``readers``, else as its declared
+    type.  A missing field takes its default or raises KeyError(name); a
+    malformed one raises a ValueError that names it.
+    """
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in d:
+            if f.default is MISSING:
+                raise KeyError(f.name)
+            continue
+        read = readers.get(f.name, partial(_read_value, hints[f.name]))
+        try:
+            kwargs[f.name] = read(d[f.name])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"field {f.name!r}: {e}") from None
+    return kwargs
+
+
+def _spec_from_dict(family: UnionType, d):
+    """The spec of the class in ``family`` (a union) whose ``kind`` is d's "kind"."""
+    kind = _json_typed(d, dict).get("kind")
+    classes = get_args(family)
+    for cls in classes:
+        if cls.kind == kind:
+            return cls(**_read_fields(cls, d))
+    raise ValueError(f"unknown kind {kind!r}; expected one of {[c.kind for c in classes]}")

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _Record, _spec_from_dict
+
 __all__ = [
     "MAX_DENSE_DIM",
     "Ar1Factor",
@@ -59,7 +61,7 @@ def _unvec(v: np.ndarray, r: int, c: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Ar1Factor:
+class Ar1Factor(_Record, kind="ar1"):
     """Autoregressive correlation {rho^|a-b|} of a given dimension."""
 
     dim: int
@@ -75,12 +77,9 @@ class Ar1Factor:
         idx = np.arange(self.dim)
         return self.rho ** np.abs(idx[:, None] - idx[None, :])
 
-    def to_dict(self) -> dict:
-        return {"kind": "ar1", "dim": self.dim, "rho": self.rho}
-
 
 @dataclass(frozen=True)
-class CompoundFactor:
+class CompoundFactor(_Record, kind="compound"):
     """Exchangeable matrix (1-rho) I + rho J; rho=0.5 gives 0.5 (I + J)."""
 
     dim: int
@@ -95,12 +94,9 @@ class CompoundFactor:
             (self.dim, self.dim)
         )
 
-    def to_dict(self) -> dict:
-        return {"kind": "compound", "dim": self.dim, "rho": self.rho}
-
 
 @dataclass(frozen=True)
-class DenseFactor:
+class DenseFactor(_Record, kind="dense"):
     """Explicit symmetric factor matrix."""
 
     values: np.ndarray = field(repr=False)
@@ -120,19 +116,12 @@ class DenseFactor:
     def build(self) -> np.ndarray:
         return self.values
 
-    def to_dict(self) -> dict:
-        return {"kind": "dense", "values": self.values.tolist()}
+
+_Factor = Ar1Factor | CompoundFactor | DenseFactor
 
 
 def factor_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "ar1":
-        return Ar1Factor(dim=int(d["dim"]), rho=float(d["rho"]))
-    if kind == "compound":
-        return CompoundFactor(dim=int(d["dim"]), rho=float(d.get("rho", 0.5)))
-    if kind == "dense":
-        return DenseFactor(values=np.asarray(d["values"], dtype=float))
-    raise ValueError(f"unknown factor kind {kind!r}")
+    return _spec_from_dict(_Factor, d)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +218,7 @@ class _CompoundRoot:
 
 
 @dataclass(frozen=True)
-class IdentityCovariance:
+class IdentityCovariance(_Record, kind="identity"):
     """vec(X) has iid unit-variance entries."""
 
     def check_dims(self, r: int, c: int) -> None:
@@ -242,16 +231,13 @@ class IdentityCovariance:
     def root(self, r: int, c: int) -> _IdentityRoot:
         return _IdentityRoot()
 
-    def to_dict(self) -> dict:
-        return {"kind": "identity"}
-
 
 @dataclass(frozen=True)
-class KroneckerCovariance:
+class KroneckerCovariance(_Record, kind="kronecker"):
     """cov[vec(X)] = col_factor (x) row_factor, column-major vec."""
 
-    row: object
-    col: object
+    row: _Factor
+    col: _Factor
 
     def check_dims(self, r: int, c: int) -> None:
         if self.row.dim != r or self.col.dim != c:
@@ -272,18 +258,15 @@ class KroneckerCovariance:
             _spd_root(self.col.build(), "column factor"),
         )
 
-    def to_dict(self) -> dict:
-        return {"kind": "kronecker", "row": self.row.to_dict(), "col": self.col.to_dict()}
-
 
 @dataclass(frozen=True)
-class BlockDiagonalCovariance:
+class BlockDiagonalCovariance(_Record, kind="block_diagonal"):
     """Block-diagonal over vec(X); block dimensions must sum to r*c.
 
     With c blocks of dimension r, block b is the covariance of column b.
     """
 
-    blocks: tuple
+    blocks: tuple[_Factor, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -317,12 +300,9 @@ class BlockDiagonalCovariance:
             off += b.dim
         return _BlockRoot(offsets_roots, r, c)
 
-    def to_dict(self) -> dict:
-        return {"kind": "block_diagonal", "blocks": [b.to_dict() for b in self.blocks]}
-
 
 @dataclass(frozen=True)
-class DenseCovariance:
+class DenseCovariance(_Record, kind="dense"):
     """Explicit covariance of vec(X)."""
 
     values: np.ndarray = field(repr=False)
@@ -356,12 +336,9 @@ class DenseCovariance:
         # one block spanning all of vec(X)
         return _BlockRoot([(0, _spd_root(self.values, "covariance"))], r, c)
 
-    def to_dict(self) -> dict:
-        return {"kind": "dense", "values": self.values.tolist()}
-
 
 @dataclass(frozen=True)
-class CompoundCovariance:
+class CompoundCovariance(_Record, kind="compound"):
     """Exchangeable covariance on vec(X): (1-rho) I + rho J at any size.
 
     The root has the closed form a I + b J, so sampling is O(n r c)
@@ -388,9 +365,6 @@ class CompoundCovariance:
         self.check_dims(r, c)
         return _CompoundRoot(self.rho, r, c)
 
-    def to_dict(self) -> dict:
-        return {"kind": "compound", "rho": self.rho}
-
 
 def _guard_dense(dim: int) -> None:
     if dim > MAX_DENSE_DIM:
@@ -412,20 +386,11 @@ def sqrt_factor(spec, r: int, c: int):
     return spec.root(r, c)
 
 
+_Covariance = (
+    IdentityCovariance | KroneckerCovariance | BlockDiagonalCovariance
+    | DenseCovariance | CompoundCovariance
+)
+
+
 def covariance_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "identity":
-        return IdentityCovariance()
-    if kind == "kronecker":
-        return KroneckerCovariance(
-            row=factor_from_dict(d["row"]), col=factor_from_dict(d["col"])
-        )
-    if kind == "block_diagonal":
-        return BlockDiagonalCovariance(
-            blocks=tuple(factor_from_dict(b) for b in d["blocks"])
-        )
-    if kind == "dense":
-        return DenseCovariance(values=np.asarray(d["values"], dtype=float))
-    if kind == "compound":
-        return CompoundCovariance(rho=float(d["rho"]))
-    raise ValueError(f"unknown covariance kind {kind!r}")
+    return _spec_from_dict(_Covariance, d)

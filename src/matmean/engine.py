@@ -31,6 +31,7 @@ from .core import (
     DataStack,
     GroupPartition,
     ProjectionMatrix,
+    _Record,
     build_projection,
     drop_singletons,
 )
@@ -53,7 +54,7 @@ MIN_SUBJECTS = 4
 
 
 @dataclass(frozen=True)
-class TestResult:
+class TestResult(_Record):
     """Outcome of a one-sided standardized mean-structure test.
 
     ``deviation_est`` estimates the squared projected mean (zero under
@@ -79,22 +80,6 @@ class TestResult:
     @property
     def ok(self) -> bool:
         return self.failure is None
-
-    def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "deviation_est": self.deviation_est,
-            "trace_cov_sq": self.trace_cov_sq,
-            "n_used": self.n_used,
-            "r_used": self.r_used,
-            "c_used": self.c_used,
-            "orientation": self.orientation,
-            "alpha": self.alpha,
-            "reject": self.reject,
-            "failure": self.failure,
-            "dropped_columns": list(self.dropped_columns),
-        }
 
 
 def _gram(y: np.ndarray) -> np.ndarray:
@@ -465,11 +450,7 @@ def discover_structure(stack: DataStack, alpha: float = 0.05) -> dict:
         trace["conclusion"] = "unstructured"
         return trace
     grouping = _merge_groups(c, merge_pairs)
-    trace["grouping"] = {
-        "assignment": list(grouping.assignment),
-        "sizes": list(grouping.sizes),
-        "n_groups": grouping.n_groups,
-    }
+    trace["grouping"] = grouping.to_dict()
     trace["final"] = mean_matrix_test(stack, grouping, alpha=alpha).to_dict()
     trace["conclusion"] = "grouped columns"
     return trace

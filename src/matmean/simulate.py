@@ -28,8 +28,16 @@ from fractions import Fraction
 import numpy as np
 
 from .baselines import adjust_pvalues, anova_rowwise, kruskal_rowwise, pairwise_cq_procedure
-from .core import DataStack, GroupPartition
-from .covariance import covariance_from_dict, sqrt_factor
+from .core import (
+    DataStack,
+    GroupPartition,
+    RunAborted,
+    _Record,
+    _read_fields,
+    _read_value,
+    _spec_from_dict,
+)
+from .covariance import _Covariance, sqrt_factor
 from .engine import mean_matrix_test
 
 __all__ = [
@@ -76,7 +84,7 @@ class NoiseScenario:
 
     @classmethod
     def from_tag(cls, tag: str) -> "NoiseScenario":
-        return cls(str(tag).strip().lower())
+        return cls(_read_value(str, tag).strip().lower())
 
 
 def _noise_batch(
@@ -138,18 +146,15 @@ def _check_ratio(m: np.ndarray, target: float, denom: float) -> None:
 
 
 @dataclass(frozen=True)
-class ZeroMean:
+class ZeroMean(_Record, kind="zero"):
     """Null mean matrix."""
 
     def build(self, r: int, c: int, sigma) -> np.ndarray:
         return np.zeros((r, c))
 
-    def to_dict(self) -> dict:
-        return {"kind": "zero"}
-
 
 @dataclass(frozen=True)
-class RightBlockMean:
+class RightBlockMean(_Record, kind="right_block"):
     """M = [0 | t J] with the constant t solved from the signal ratio.
 
     The first ``zero_cols`` columns are zero and the remaining
@@ -180,18 +185,9 @@ class RightBlockMean:
         _check_ratio(m, self.target, denom)
         return m
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "right_block",
-            "zero_cols": self.zero_cols,
-            "effect_cols": self.effect_cols,
-            "target": self.target,
-            "denominator": self.denominator,
-        }
-
 
 @dataclass(frozen=True)
-class SparseMean:
+class SparseMean(_Record, kind="sparse"):
     """Columns [0 | u 1'] where the vector u is mostly zero.
 
     ``zero_fraction`` of the r entries of u are zero (leading
@@ -244,19 +240,9 @@ class SparseMean:
         _check_ratio(m, self.target, denom)
         return m
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sparse",
-            "zero_fraction": self.zero_fraction,
-            "allocation": self.allocation,
-            "target": self.target,
-            "effect_cols": self.effect_cols,
-            "denominator": self.denominator,
-        }
-
 
 @dataclass(frozen=True)
-class MultiplicativeMean:
+class MultiplicativeMean(_Record, kind="multiplicative"):
     """M = [base J | t J] with a fixed multiplier, no calibration.
 
     The base block spans floor(0.9 c) columns and the boosted block
@@ -275,32 +261,12 @@ class MultiplicativeMean:
         m[:, base_cols:] = self.t
         return m
 
-    def to_dict(self) -> dict:
-        return {"kind": "multiplicative", "t": self.t, "base": self.base}
+
+_Mean = ZeroMean | RightBlockMean | SparseMean | MultiplicativeMean
 
 
 def mean_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "zero":
-        return ZeroMean()
-    if kind == "right_block":
-        return RightBlockMean(
-            zero_cols=int(d["zero_cols"]),
-            effect_cols=int(d["effect_cols"]),
-            target=float(d["target"]),
-            denominator=str(d.get("denominator", "dims")),
-        )
-    if kind == "sparse":
-        return SparseMean(
-            zero_fraction=float(d["zero_fraction"]),
-            allocation=str(d["allocation"]),
-            target=float(d["target"]),
-            effect_cols=int(d.get("effect_cols", 1)),
-            denominator=str(d.get("denominator", "dims")),
-        )
-    if kind == "multiplicative":
-        return MultiplicativeMean(t=float(d["t"]), base=float(d.get("base", 1.0)))
-    raise ValueError(f"unknown mean kind {kind!r}")
+    return _spec_from_dict(_Mean, d)
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +316,15 @@ _METHODS = {
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """Complete description of one simulation run."""
 
     n_subjects: int
     n_rows: int
     n_cols: int
     scenario: NoiseScenario
-    covariance: object
-    mean: object
+    covariance: _Covariance
+    mean: _Mean
     partition: GroupPartition
     alpha: float = 0.05
     replicates: int = 1000
@@ -374,10 +340,7 @@ class SimConfig:
             raise ValueError("replicates must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        methods = self.methods
-        if not isinstance(methods, (list, tuple)) or not all(isinstance(m, str) for m in methods):
-            raise ValueError(f"methods must be a list of names, got {methods!r}")
-        methods = tuple(methods)
+        methods = tuple(self.methods)
         if not methods:
             raise ValueError("at least one method is required")
         unknown = [m for m in methods if m not in _METHODS]
@@ -396,43 +359,17 @@ class SimConfig:
         return tuple(name for m in self.methods for name in _METHODS[m][0])
 
     def to_dict(self) -> dict:
-        return {
-            "n_subjects": self.n_subjects,
-            "n_rows": self.n_rows,
-            "n_cols": self.n_cols,
-            "scenario": self.scenario.tag,
-            "covariance": self.covariance.to_dict(),
-            "mean": self.mean.to_dict(),
-            "partition": list(self.partition.assignment),
-            "alpha": self.alpha,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "methods": list(self.methods),
-        }
+        # the scenario and the partition are written as the values they wrap
+        return {**super().to_dict(), "scenario": self.scenario.tag,
+                "partition": list(self.partition.assignment)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
         """A missing field raises KeyError, a malformed one a ValueError naming it."""
-
-        def field(name, parse, *default):
-            try:
-                return parse(d[name]) if name in d or not default else default[0]
-            except (TypeError, AttributeError, ValueError) as e:
-                raise ValueError(f"field {name!r}: {e}") from None
-
-        return cls(
-            n_subjects=field("n_subjects", int),
-            n_rows=field("n_rows", int),
-            n_cols=field("n_cols", int),
-            scenario=field("scenario", NoiseScenario.from_tag),
-            covariance=field("covariance", covariance_from_dict),
-            mean=field("mean", mean_from_dict),
-            partition=field("partition", lambda v: GroupPartition(tuple(int(g) for g in v))),
-            alpha=field("alpha", float, 0.05),
-            replicates=field("replicates", int, 1000),
-            seed=field("seed", int, 0),
-            methods=d.get("methods", ("proposed",)),
-        )
+        return cls(**_read_fields(
+            cls, d, scenario=NoiseScenario.from_tag,
+            partition=lambda v: GroupPartition(_read_value(tuple[int, ...], v)),
+        ))
 
 
 @dataclass(frozen=True)
@@ -572,8 +509,8 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
     "reject iff the smallest adjusted p-value is below alpha".
 
     Per-replicate failures (flagged results or errors) are excluded
-    from the denominators and reported per method; the run aborts if
-    any method fails on more than 1% of replicates.
+    from the denominators and reported per method; the run aborts with
+    ``RunAborted`` if any method fails on more than 1% of replicates.
     """
     if config.replicates < 100:
         raise ValueError("monte_carlo needs at least 100 replicates")
@@ -622,7 +559,7 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
     for name, column in zip(config.outcome_names(), zip(*verdicts)):
         errors = column.count(None)
         if errors > 0.01 * config.replicates:
-            raise RuntimeError(
+            raise RunAborted(
                 f"method {name!r} failed on {errors} of {config.replicates} "
                 f"replicates; aborting the run"
             )

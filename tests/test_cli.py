@@ -651,11 +651,19 @@ def test_simulate_malformed_config_names_the_problem(tmp_path, capsys, case):
     assert err == f"error: {path}: {expected}\n"
 
 
+_KRONECKER_ROW_DIM_6_5 = {"kind": "kronecker", "row": {"kind": "ar1", "dim": 6.5, "rho": 0.3},
+                          "col": {"kind": "ar1", "dim": 4, "rho": 0.3}}
+_TARGET_STRING = {"kind": "right_block", "zero_cols": 2, "effect_cols": 2, "target": "0.1"}
+
+
 @pytest.mark.parametrize("field, value", [
     ("partition", 5), ("covariance", []), ("mean", "zero"), ("n_rows", None),
     ("methods", "proposed"), ("methods", ["proposed", 3]), ("alpha", "high"),
+    ("n_rows", 6.7), ("n_rows", "6"), ("n_rows", True), ("seed", 1.5), ("partition", "1122"),
+    ("covariance", _KRONECKER_ROW_DIM_6_5), ("mean", _TARGET_STRING),
 ], ids=["partition=5", "covariance=[]", "mean=zero", "n_rows=null", "methods=string",
-        "methods=mixed", "alpha=string"])
+        "methods=mixed", "alpha=string", "n_rows=6.7", "n_rows=string", "n_rows=true",
+        "seed=1.5", "partition=string", "covariance.row.dim=6.5", "mean.target=string"])
 def test_simulate_config_field_of_the_wrong_type_is_named(tmp_path, capsys, field, value):
     raw = json.loads(_method_config(tmp_path / "good.json", ("proposed",)).read_text())
     raw[field] = value
@@ -665,6 +673,17 @@ def test_simulate_config_field_of_the_wrong_type_is_named(tmp_path, capsys, fiel
     assert code == 1 and report is None
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert repr(field) in err or f"{field} " in err
+
+
+def test_simulate_run_aborted_by_failures_is_one_error_line(tmp_path, capsys):
+    # one column in one group leaves nothing to test, so every replicate fails
+    raw = json.loads(_method_config(tmp_path / "good.json", ("proposed",)).read_text())
+    raw.update(n_cols=1, partition=[1])
+    path = tmp_path / "one_column.json"
+    path.write_text(json.dumps(raw))
+    code, report, err = _run(["simulate", "--config", str(path)], capsys)
+    assert code == 1 and report is None
+    assert err == "error: method 'proposed' failed on 100 of 100 replicates; aborting the run\n"
 
 
 def test_simulate_csv_identical_across_worker_counts(tmp_path, capsys):

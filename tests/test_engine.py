@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from matmean.engine import (
     trace_cov_sq_fast,
     trace_cov_sq_naive,
 )
+from matmean.engine import TestResult as Result
 from matmean.engine import test_known_difference as known_difference_test
 from matmean.engine import test_known_matrix as known_matrix_test
 
@@ -256,6 +258,19 @@ def test_singleton_columns_are_dropped_and_recorded():
     direct = mean_matrix_test(stack.take_columns([0, 2, 3, 4]),
                               GroupPartition.from_sizes((2, 2)))
     assert res.statistic == pytest.approx(direct.statistic, rel=1e-12)
+
+
+def test_result_json_form_is_pinned():
+    result = Result(
+        statistic=1.5, p_value=0.0668, deviation_est=2.0, trace_cov_sq=4.0,
+        n_used=10, r_used=3, c_used=4, orientation="columns", alpha=0.05,
+        reject=False, failure=None, dropped_columns=(2, 5),
+    )
+    assert json.dumps(result.to_dict()) == (
+        '{"statistic": 1.5, "p_value": 0.0668, "deviation_est": 2.0, "trace_cov_sq": 4.0, '
+        '"n_used": 10, "r_used": 3, "c_used": 4, "orientation": "columns", "alpha": 0.05, '
+        '"reject": false, "failure": null, "dropped_columns": [2, 5]}'
+    )
 
 
 def test_orientation_rows_equals_transposed_columns():

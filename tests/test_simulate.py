@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from matmean.covariance import (
     IdentityCovariance,
     KroneckerCovariance,
     covariance_from_dict,
+    factor_from_dict,
     sqrt_factor,
 )
 from matmean.simulate import (
@@ -153,6 +156,28 @@ def test_covariance_dict_round_trips():
             assert back == spec
     with pytest.raises(ValueError):
         covariance_from_dict({"kind": "mystery"})
+    # every factor and covariance kind: the JSON text, byte for byte, and
+    # the same text back after reading it
+    dense = np.array([[2.0, 0.5], [0.5, 1.0]])
+    pinned = [
+        (factor_from_dict, Ar1Factor(5, 0.85), '{"kind": "ar1", "dim": 5, "rho": 0.85}'),
+        (factor_from_dict, CompoundFactor(3), '{"kind": "compound", "dim": 3, "rho": 0.5}'),
+        (factor_from_dict, DenseFactor(dense),
+         '{"kind": "dense", "values": [[2.0, 0.5], [0.5, 1.0]]}'),
+        (covariance_from_dict, IdentityCovariance(), '{"kind": "identity"}'),
+        (covariance_from_dict, CompoundCovariance(rho=0.25), '{"kind": "compound", "rho": 0.25}'),
+        (covariance_from_dict, KroneckerCovariance(Ar1Factor(5, 0.85), CompoundFactor(3)),
+         '{"kind": "kronecker", "row": {"kind": "ar1", "dim": 5, "rho": 0.85}, '
+         '"col": {"kind": "compound", "dim": 3, "rho": 0.5}}'),
+        (covariance_from_dict, BlockDiagonalCovariance((Ar1Factor(2, 0.5), DenseFactor(dense))),
+         '{"kind": "block_diagonal", "blocks": [{"kind": "ar1", "dim": 2, "rho": 0.5}, '
+         '{"kind": "dense", "values": [[2.0, 0.5], [0.5, 1.0]]}]}'),
+        (covariance_from_dict, DenseCovariance(np.eye(2) * 2.0),
+         '{"kind": "dense", "values": [[2.0, 0.0], [0.0, 2.0]]}'),
+    ]
+    for from_dict, spec, text in pinned:
+        assert json.dumps(spec.to_dict()) == text
+        assert json.dumps(from_dict(json.loads(text)).to_dict()) == text
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +339,23 @@ def test_sigma_normalized_calibration():
 
 
 def test_calibrate_mean_dispatch_and_dict_round_trip():
-    specs = [
-        ZeroMean(),
-        RightBlockMean(zero_cols=7, effect_cols=3, target=0.1),
-        SparseMean(zero_fraction=0.5, allocation="linear", target=0.15),
-        MultiplicativeMean(1.15),
-    ]
-    for spec in specs:
+    # each spec with its JSON text, pinned byte for byte
+    specs = {
+        ZeroMean(): '{"kind": "zero"}',
+        RightBlockMean(zero_cols=7, effect_cols=3, target=0.1):
+            '{"kind": "right_block", "zero_cols": 7, "effect_cols": 3, "target": 0.1, '
+            '"denominator": "dims"}',
+        SparseMean(zero_fraction=0.5, allocation="linear", target=0.15):
+            '{"kind": "sparse", "zero_fraction": 0.5, "allocation": "linear", "target": 0.15, '
+            '"effect_cols": 1, "denominator": "dims"}',
+        MultiplicativeMean(1.15): '{"kind": "multiplicative", "t": 1.15, "base": 1.0}',
+    }
+    for spec, text in specs.items():
         m = spec.build(20, 10, None)
         assert m.shape == (20, 10)
         assert mean_from_dict(spec.to_dict()) == spec
+        assert json.dumps(spec.to_dict()) == text
+        assert mean_from_dict(json.loads(text)) == spec
     with pytest.raises(ValueError):
         mean_from_dict({"kind": "surprise"})
 
@@ -494,6 +526,23 @@ def test_sim_config_dict_round_trip():
     )
     back = SimConfig.from_dict(cfg.to_dict())
     assert back == cfg
+    assert json.dumps(cfg.to_dict()) == (
+        '{"n_subjects": 8, "n_rows": 12, "n_cols": 4, "scenario": "mixture", '
+        '"covariance": {"kind": "kronecker", "row": {"kind": "ar1", "dim": 12, "rho": 0.85}, '
+        '"col": {"kind": "compound", "dim": 4, "rho": 0.5}}, '
+        '"mean": {"kind": "sparse", "zero_fraction": 0.5, "allocation": "linear", '
+        '"target": 0.15, "effect_cols": 1, "denominator": "dims"}, '
+        '"partition": [1, 1, 2, 2], "alpha": 0.05, "replicates": 150, "seed": 5, '
+        '"methods": ["proposed", "anova"]}'
+    )
+
+
+def test_documented_config_round_trips():
+    # the example under "Simulation config JSON" in docs/formats.md
+    text = (Path(__file__).resolve().parents[1] / "docs" / "formats.md").read_text()
+    section = text.split("## Simulation config JSON", 1)[1]
+    d = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    assert SimConfig.from_dict(d).to_dict() == d
 
 
 def test_replicate_rng_streams():
