@@ -14,6 +14,9 @@ no cross-correlation.  The simulation tables restrict the comparison
 accordingly; outside that regime these baselines are reported for
 size distortion, not as valid tests.
 
+Kruskal-Wallis ranks its rows in blocks of ``_KW_BLOCK_VALUES`` pooled
+values, so its temporaries stay small however many rows there are.
+
 The F and chi-square tails of the row-wise tests come from
 ``scipy.special`` (``fdtrc`` and ``chdtrc``, the functions behind
 ``scipy.stats.f.sf`` and ``chi2.sf``), so ``scipy.stats`` is never
@@ -40,6 +43,13 @@ __all__ = [
     "chen_qin_two_sample",
     "pairwise_cq_procedure",
 ]
+
+# Kruskal-Wallis pools and ranks at most this many values at a time.
+# Each (rows, N*c) temporary of a block (the pooled copy, its argsort,
+# the group keys) then takes at most 100 KiB, under glibc's default
+# 128 KiB mmap threshold: it is reused from the heap rather than mapped,
+# page-faulted and unmapped on every call, and it stays in cache.
+_KW_BLOCK_VALUES = 12_800
 
 # rows whose within-group sum of squares falls below this relative
 # level are degenerate: they get p = 1 rather than an F tail
@@ -140,7 +150,9 @@ def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
 
     Same pooling as anova_rowwise but on ranks, so it is exactly
     invariant under monotone transformations of a row.  All-tied rows
-    get p = 1.
+    get p = 1.  Blocks of rows (128 when N*c = 100) are pooled, ranked
+    and summed by group in turn; the statistic, the tie correction and
+    the tail then take all rows at once.
     """
     from scipy.special import chdtrc
 
@@ -151,16 +163,21 @@ def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
     counts = n * np.asarray(partition.sizes, dtype=float)
     n_tot = n * c
 
-    # a copy of its own even when r == 1, since it is ranked in place
-    ranks = np.array(vals.transpose(1, 0, 2), order="C").reshape(r, n_tot)
-    order, all_tied, tie_sum = _rank_in_place(ranks)
-    # flattening is subject-major, so the group labels tile per subject;
-    # key i*g + q collects the ranks of row i that fall in group q, and
-    # sums of half-integers are exact in any order
-    keys = np.tile(assign, n)[order]
-    keys += np.arange(0, r * g, g)[:, None]
-    rank_sum = np.bincount(keys.ravel(), weights=ranks.ravel(), minlength=r * g)
-    rank_sum = rank_sum.reshape(r, g)
+    # flattening is subject-major, so the group labels tile per subject
+    labels = np.tile(assign, n)
+    step = max(1, _KW_BLOCK_VALUES // n_tot)
+    rank_sum, all_tied, tie_sum = np.empty((r, g)), np.empty(r, dtype=bool), np.empty(r)
+    for lo in range(0, r, step):
+        rows = slice(lo, lo + step)
+        # a copy of its own even for one row, since it is ranked in place
+        ranks = np.array(vals[:, rows].transpose(1, 0, 2), order="C").reshape(-1, n_tot)
+        order, all_tied[rows], tie_sum[rows] = _rank_in_place(ranks)
+        # key i*g + q collects the ranks of block row i that fall in
+        # group q; sums of half-integers are exact in any order
+        m = len(ranks)
+        keys = labels[order]
+        keys += np.arange(0, m * g, g)[:, None]
+        rank_sum[rows] = np.bincount(keys.ravel(), ranks.ravel(), m * g).reshape(m, g)
     h = 12.0 / (n_tot * (n_tot + 1)) * (rank_sum * rank_sum / counts).sum(
         axis=1
     ) - 3.0 * (n_tot + 1)

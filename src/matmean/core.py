@@ -92,10 +92,6 @@ class GroupPartition:
     def max_group_size(self) -> int:
         return max(self.sizes)
 
-    def group_columns(self, q: int) -> tuple[int, ...]:
-        """0-based column indices of group q (1-based)."""
-        return tuple(b for b, gid in enumerate(self.assignment) if gid == q)
-
     def to_dict(self) -> dict:
         return {
             "assignment": list(self.assignment),
@@ -232,14 +228,6 @@ class DataStack:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_matrices(cls, matrices: Sequence[np.ndarray]) -> "DataStack":
-        mats = [np.asarray(m, dtype=float) for m in matrices]
-        shapes = {m.shape for m in mats}
-        if len(shapes) != 1:
-            raise ValueError(f"matrices must share one shape, got {sorted(shapes)}")
-        return cls(np.stack(mats, axis=0))
-
     @property
     def n_subjects(self) -> int:
         return self.values.shape[0]
@@ -345,17 +333,31 @@ def _json_typed(value, json_type: type):
 def _read_value(hint, value):
     """A JSON value read as the declared type ``hint``.
 
-    ``tuple[X, ...]`` reads a list, a union of spec classes an object
-    whose "kind" picks the class, an array a (nested) list, and int,
-    float and str their own JSON types.
+    ``tuple[X, ...]`` reads a list of X, naming a bad entry by its index,
+    a union of spec classes an object whose "kind" picks the class, an
+    array a list of lists of numbers, and int, float and str their own.
     """
+    if hint is np.ndarray:
+        # a dense matrix may hold millions of entries: check their types in
+        # bulk, and read them one by one only to name a bad one
+        if type(value) is list and {*map(type, value)} == {list} and (
+                {t for v in value for t in map(type, v)} <= {int, float}):
+            return value
+        hint = tuple[tuple[float, ...], ...]
     if get_origin(hint) is tuple:
-        return tuple(_read_value(get_args(hint)[0], v) for v in _json_typed(value, list))
+        read = partial(_read_value, get_args(hint)[0])
+        return tuple(_read_named(f"entry {i}", read, v)
+                     for i, v in enumerate(_json_typed(value, list)))
     if isinstance(hint, UnionType):
         return _spec_from_dict(hint, value)
-    if hint is np.ndarray:
-        return _json_typed(value, list)
     return hint(_json_typed(value, hint))
+
+
+def _read_named(name: str, read, value):
+    try:
+        return read(value)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{name}: {e}") from None
 
 
 def _read_fields(cls, d: dict, **readers) -> dict:
@@ -363,9 +365,12 @@ def _read_fields(cls, d: dict, **readers) -> dict:
 
     A field is read by its entry in ``readers``, else as its declared
     type.  A missing field takes its default or raises KeyError(name); a
-    malformed one raises a ValueError that names it.
+    malformed one or a key that is no field raises a ValueError naming it.
     """
     hints = get_type_hints(cls)
+    unknown = [key for key in d if key not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
     kwargs = {}
     for f in fields(cls):
         if f.name not in d:
@@ -373,10 +378,7 @@ def _read_fields(cls, d: dict, **readers) -> dict:
                 raise KeyError(f.name)
             continue
         read = readers.get(f.name, partial(_read_value, hints[f.name]))
-        try:
-            kwargs[f.name] = read(d[f.name])
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"field {f.name!r}: {e}") from None
+        kwargs[f.name] = _read_named(f"field {f.name!r}", read, d[f.name])
     return kwargs
 
 
@@ -386,5 +388,5 @@ def _spec_from_dict(family: UnionType, d):
     classes = get_args(family)
     for cls in classes:
         if cls.kind == kind:
-            return cls(**_read_fields(cls, d))
+            return cls(**_read_fields(cls, {k: v for k, v in d.items() if k != "kind"}))
     raise ValueError(f"unknown kind {kind!r}; expected one of {[c.kind for c in classes]}")

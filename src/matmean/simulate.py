@@ -57,9 +57,16 @@ __all__ = [
     "replicate_rng",
     "monte_carlo",
     "WORKERS_ENV_VAR",
+    "MAX_STACK_VALUES",
 ]
 
 WORKERS_ENV_VAR = "MATMEAN_WORKERS"
+
+# Largest N*r*c a config may ask for, so that an impossible size is
+# refused before anything is allocated.  A fixed cap, not the machine's
+# free memory: 10^8 values (800 MB per float buffer) is ten times the
+# largest preset stack.
+MAX_STACK_VALUES = 10**8
 
 _SCENARIO_TAGS = ("normal", "gamma", "mixture")
 
@@ -334,6 +341,9 @@ class SimConfig(_Record):
     def __post_init__(self):
         if min(self.n_subjects, self.n_rows, self.n_cols) < 1:
             raise ValueError("dimensions must be positive")
+        if (size := self.n_subjects * self.n_rows * self.n_cols) > MAX_STACK_VALUES:
+            raise ValueError(f"n_subjects * n_rows * n_cols = {size} exceeds the cap of "
+                             f"{MAX_STACK_VALUES} values per stack")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.replicates < 1:

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from matmean.baselines import (
+    _KW_BLOCK_VALUES,
     adjust_pvalues,
     anova_rowwise,
     chen_qin_two_sample,
@@ -17,7 +18,7 @@ def _group_samples(stack, partition, row):
     """Pooled per-group samples for one row: all subjects x group columns."""
     out = []
     for q in range(1, partition.n_groups + 1):
-        cols = list(partition.group_columns(q))
+        cols = [b for b, gid in enumerate(partition.assignment) if gid == q]
         out.append(stack.values[:, row, cols].ravel())
     return out
 
@@ -140,6 +141,15 @@ def test_rowwise_baselines_equal_scipy_stats_exactly():
     vals[:, 5] = np.round(vals[:, 5])
     stack = DataStack(vals)
     big = DataStack(np.round(rng.standard_normal((10, 300, 10)) * 4))
+    # two full Kruskal-Wallis row blocks and a remainder, with a
+    # tie-heavy, an all-tied and a 0.0/-0.0 row in different blocks
+    step = _KW_BLOCK_VALUES // 100
+    blocks_rng = np.random.default_rng(66)
+    multi = blocks_rng.standard_normal((10, 2 * step + step // 2 + 1, 10))
+    multi[:, 0] = np.round(multi[:, 0] * 2) / 2
+    multi[:, step] = 0.5
+    multi[:, 2 * step] = np.where(blocks_rng.uniform(size=(10, 10)) < 0.5, 0.0, -0.0)
+    multi[:, 2 * step, :2] = blocks_rng.standard_normal((10, 2))
     for st, part in (
         (stack, GroupPartition.from_sizes((2, 2, 2))),
         (stack, GroupPartition((1, 2, 1, 3, 2, 3))),
@@ -148,6 +158,7 @@ def test_rowwise_baselines_equal_scipy_stats_exactly():
          GroupPartition.from_sizes((5, 5))),
         # one row: reshaping its pooled values gives a view of the stack
         (DataStack(big.values[:, :1]), GroupPartition.from_sizes((4, 6))),
+        (DataStack(multi), GroupPartition((1, 2, 3, 1, 2, 3, 1, 2, 3, 3))),
     ):
         for fn, reference in ((anova_rowwise, _anova_reference),
                               (kruskal_rowwise, _kruskal_reference)):

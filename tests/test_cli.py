@@ -675,6 +675,39 @@ def test_simulate_config_field_of_the_wrong_type_is_named(tmp_path, capsys, fiel
     assert repr(field) in err or f"{field} " in err
 
 
+_DENSE_4 = [[1, 0.5, 0, 0], [0.5, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+_TWO_BY_TWO = {"n_rows": 2, "n_cols": 2, "partition": [1, 1]}
+
+
+@pytest.mark.parametrize("changes, expected", [
+    ({"seeeed": 5}, "unknown key 'seeeed'"),
+    ({"covariance": {"kind": "kronecker", "row": {"kind": "compound", "dim": 5, "rh0": 0.9},
+                     "col": {"kind": "ar1", "dim": 4, "rho": 0.3}}},
+     "field 'covariance': field 'row': unknown key 'rh0'"),
+    ({"mean": {"kind": "zero", "target": 0.1}}, "field 'mean': unknown key 'target'"),
+    ({**_TWO_BY_TWO, "covariance": {"kind": "dense", "values": [[1, "0.5", 0, 0], *_DENSE_4[1:]]}},
+     "field 'covariance': field 'values': entry 0: entry 1: expected a number, got '0.5'"),
+    ({**_TWO_BY_TWO, "covariance": {"kind": "dense", "values": [*_DENSE_4[:3], [0, 0, 0, True]]}},
+     "field 'covariance': field 'values': entry 3: entry 3: expected a number, got True"),
+    ({"covariance": {"kind": "block_diagonal",
+                     "blocks": [{"kind": "ar1", "dim": 10, "rho": 0.3}, {}]}},
+     "field 'covariance': field 'blocks': entry 1: unknown kind None; "
+     "expected one of ['ar1', 'compound', 'dense']"),
+    ({"n_rows": 100000000000000},
+     "n_subjects * n_rows * n_cols = 2400000000000000 exceeds the cap of "
+     "100000000 values per stack"),
+], ids=["top-level", "nested", "spec-without-fields", "dense-string", "dense-bool",
+        "empty-block", "stack-size"])
+def test_simulate_config_error_names_its_path(tmp_path, capsys, changes, expected):
+    raw = json.loads(_method_config(tmp_path / "good.json", ("proposed",)).read_text())
+    raw.update(changes)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, report, err = _run(["simulate", "--config", str(path)], capsys)
+    assert code == 1 and report is None
+    assert err == f"error: {path}: {expected}\n"
+
+
 def test_simulate_run_aborted_by_failures_is_one_error_line(tmp_path, capsys):
     # one column in one group leaves nothing to test, so every replicate fails
     raw = json.loads(_method_config(tmp_path / "good.json", ("proposed",)).read_text())

@@ -18,7 +18,7 @@ from matmean.presets import (
     build_preset,
     parse_cell_filter,
 )
-from matmean.simulate import SparseMean
+from matmean.simulate import MAX_STACK_VALUES, SparseMean
 
 
 EXPECTED_CELLS = {
@@ -47,6 +47,14 @@ def test_cell_and_run_counts(name):
     for cell in cells:
         assert cell.preset == name
         assert len(cell.runs) == RUNS_PER_CELL[name]
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_every_preset_stack_is_under_the_config_cap(name):
+    for cell in build_preset(name, reps=10):
+        for run in cell.runs:
+            cfg = run.config
+            assert cfg.n_subjects * cfg.n_rows * cfg.n_cols <= MAX_STACK_VALUES
 
 
 def test_param_strings_and_dims():
