@@ -50,11 +50,11 @@ PRESET_NAMES = ("table1", "table2", "table3", "table4", "table5", "webtable2")
 _LAZY = {
     "covariance": ("Ar1Factor", "BlockDiagonalCovariance", "CompoundCovariance",
                    "CompoundFactor", "DenseCovariance", "DenseFactor", "IdentityCovariance",
-                   "KroneckerCovariance", "covariance_from_dict", "sqrt_factor"),
+                   "KroneckerCovariance", "sqrt_factor"),
     "presets": ("build_preset",),
     "simulate": ("MethodOutcome", "MultiplicativeMean", "NoiseScenario", "RejectionReport",
-                 "RightBlockMean", "SimConfig", "SparseMean", "ZeroMean", "gen_noise",
-                 "gen_stack", "monte_carlo", "replicate_rng"),
+                 "RightBlockMean", "SimConfig", "SparseMean", "ZeroMean", "gen_stack",
+                 "monte_carlo", "replicate_rng"),
 }
 _LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
 
@@ -95,10 +95,8 @@ __all__ = [
     "build_projection",
     "chen_qin_two_sample",
     "compute_gram",
-    "covariance_from_dict",
     "deviation_estimate",
     "discover_structure",
-    "gen_noise",
     "gen_stack",
     "kruskal_rowwise",
     "load_stack",

@@ -429,8 +429,6 @@ def cmd_simulate(args) -> int:
         raise CliError(f"{args.config}: does not hold a JSON object")
     try:
         config = SimConfig.from_dict(raw)
-    except KeyError as e:
-        raise CliError(f"{args.config}: missing field {e}")
     except ValueError as e:
         raise CliError(f"{args.config}: {e}")
     if args.reps is not None:

@@ -5,7 +5,8 @@ grouping of the c columns expresses the hypothesis that within every
 group the column mean vectors coincide.  The projection built here
 centers each column within its group, so a mean matrix satisfies the
 hypothesis exactly when the projected mean is zero.  The JSON form of
-the result and simulation-config records is written and read here too.
+the result, simulation-config and report records is written and read
+here too.
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ __all__ = [
     "build_projection",
     "drop_singletons",
     "RunAborted",
+    "MAX_STACK_VALUES",
 ]
+
+# Largest number of values one array built from a simulation config may
+# hold: the N*r*c stack, or the dim x dim matrix of a covariance factor.
+# Checked when the config is read, so an impossible size is refused before
+# anything is allocated.  A fixed cap, not the machine's free memory: 10^8
+# values (800 MB of floats) is ten times the largest preset stack.
+MAX_STACK_VALUES = 10**8
 
 
 class RunAborted(RuntimeError):
@@ -122,11 +131,6 @@ class ProjectionMatrix:
     @property
     def n_cols(self) -> int:
         return self.partition.n_cols
-
-    @property
-    def rank(self) -> int:
-        """c minus the number of groups (trace of an exact projection)."""
-        return self.partition.n_cols - self.partition.n_groups
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -364,7 +368,7 @@ def _read_fields(cls, d: dict, **readers) -> dict:
     """Keyword arguments for the dataclass ``cls`` from the JSON object ``d``.
 
     A field is read by its entry in ``readers``, else as its declared
-    type.  A missing field takes its default or raises KeyError(name); a
+    type.  A missing field takes its default; one without a default, a
     malformed one or a key that is no field raises a ValueError naming it.
     """
     hints = get_type_hints(cls)
@@ -373,12 +377,11 @@ def _read_fields(cls, d: dict, **readers) -> dict:
         raise ValueError(f"unknown key {unknown[0]!r}")
     kwargs = {}
     for f in fields(cls):
-        if f.name not in d:
-            if f.default is MISSING:
-                raise KeyError(f.name)
-            continue
-        read = readers.get(f.name, partial(_read_value, hints[f.name]))
-        kwargs[f.name] = _read_named(f"field {f.name!r}", read, d[f.name])
+        if f.name in d:
+            read = readers.get(f.name, partial(_read_value, hints[f.name]))
+            kwargs[f.name] = _read_named(f"field {f.name!r}", read, d[f.name])
+        elif f.default is MISSING:
+            raise ValueError(f"missing field {f.name!r}")
     return kwargs
 
 

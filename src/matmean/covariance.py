@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _Record, _spec_from_dict
+from .core import MAX_STACK_VALUES, _Record
 
 __all__ = [
     "MAX_DENSE_DIM",
@@ -32,8 +32,6 @@ __all__ = [
     "DenseCovariance",
     "CompoundCovariance",
     "sqrt_factor",
-    "factor_from_dict",
-    "covariance_from_dict",
 ]
 
 # Largest vec dimension (r*c) we will hold as a dense matrix.
@@ -60,6 +58,15 @@ def _unvec(v: np.ndarray, r: int, c: int) -> np.ndarray:
 # factors
 
 
+def _check_factor_dim(dim: int) -> None:
+    """Refuse a dimension whose dim x dim matrix would exceed the size cap."""
+    if dim < 1:
+        raise ValueError("factor dimension must be positive")
+    if dim * dim > MAX_STACK_VALUES:
+        raise ValueError(f"a factor of dimension {dim} has {dim * dim} entries, over the "
+                         f"cap of {MAX_STACK_VALUES} values")
+
+
 @dataclass(frozen=True)
 class Ar1Factor(_Record, kind="ar1"):
     """Autoregressive correlation {rho^|a-b|} of a given dimension."""
@@ -68,8 +75,7 @@ class Ar1Factor(_Record, kind="ar1"):
     rho: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("factor dimension must be positive")
+        _check_factor_dim(self.dim)
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"ar1 rho must lie in (-1, 1), got {self.rho}")
 
@@ -86,8 +92,7 @@ class CompoundFactor(_Record, kind="compound"):
     rho: float = 0.5
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("factor dimension must be positive")
+        _check_factor_dim(self.dim)
 
     def build(self) -> np.ndarray:
         return (1.0 - self.rho) * np.eye(self.dim) + self.rho * np.ones(
@@ -118,10 +123,6 @@ class DenseFactor(_Record, kind="dense"):
 
 
 _Factor = Ar1Factor | CompoundFactor | DenseFactor
-
-
-def factor_from_dict(d: dict):
-    return _spec_from_dict(_Factor, d)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +391,3 @@ _Covariance = (
     IdentityCovariance | KroneckerCovariance | BlockDiagonalCovariance
     | DenseCovariance | CompoundCovariance
 )
-
-
-def covariance_from_dict(d: dict):
-    return _spec_from_dict(_Covariance, d)

@@ -63,10 +63,6 @@ class PresetCell:
     params: tuple[tuple[str, str], ...]
     runs: tuple[PresetRun, ...]
 
-    @property
-    def param_string(self) -> str:
-        return ",".join(f"{k}={v}" for k, v in self.params)
-
     def matches(self, filters: dict[str, str]) -> bool:
         table = dict(self.params)
         return all(table.get(k) == v for k, v in filters.items())

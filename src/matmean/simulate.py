@@ -29,13 +29,13 @@ import numpy as np
 
 from .baselines import adjust_pvalues, anova_rowwise, kruskal_rowwise, pairwise_cq_procedure
 from .core import (
+    MAX_STACK_VALUES,
     DataStack,
     GroupPartition,
     RunAborted,
     _Record,
     _read_fields,
     _read_value,
-    _spec_from_dict,
 )
 from .covariance import _Covariance, sqrt_factor
 from .engine import mean_matrix_test
@@ -50,23 +50,14 @@ __all__ = [
     "MethodOutcome",
     "RejectionReport",
     "sqrt_factor",
-    "gen_noise",
     "gen_stack",
     "stack_buffers",
-    "mean_from_dict",
     "replicate_rng",
     "monte_carlo",
     "WORKERS_ENV_VAR",
-    "MAX_STACK_VALUES",
 ]
 
 WORKERS_ENV_VAR = "MATMEAN_WORKERS"
-
-# Largest N*r*c a config may ask for, so that an impossible size is
-# refused before anything is allocated.  A fixed cap, not the machine's
-# free memory: 10^8 values (800 MB per float buffer) is ten times the
-# largest preset stack.
-MAX_STACK_VALUES = 10**8
 
 _SCENARIO_TAGS = ("normal", "gamma", "mixture")
 
@@ -113,11 +104,6 @@ def _noise_batch(
     tail -= _GAMMA_MEAN
     tail /= _GAMMA_SD
     return z
-
-
-def gen_noise(scenario: NoiseScenario, r: int, c: int, rng) -> np.ndarray:
-    """One r x c matrix of iid standardized noise for the scenario."""
-    return _noise_batch(scenario, 1, r, c, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +258,6 @@ class MultiplicativeMean(_Record, kind="multiplicative"):
 _Mean = ZeroMean | RightBlockMean | SparseMean | MultiplicativeMean
 
 
-def mean_from_dict(d: dict):
-    return _spec_from_dict(_Mean, d)
-
-
 # ---------------------------------------------------------------------------
 # methods scored on every replicate
 #
@@ -375,7 +357,7 @@ class SimConfig(_Record):
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        """A missing field raises KeyError, a malformed one a ValueError naming it."""
+        """A missing or malformed field raises a ValueError naming its path."""
         return cls(**_read_fields(
             cls, d, scenario=NoiseScenario.from_tag,
             partition=lambda v: GroupPartition(_read_value(tuple[int, ...], v)),
@@ -383,7 +365,7 @@ class SimConfig(_Record):
 
 
 @dataclass(frozen=True)
-class MethodOutcome:
+class MethodOutcome(_Record):
     """Rejection tally for one reported method column."""
 
     method: str
@@ -403,18 +385,12 @@ class MethodOutcome:
         return math.sqrt(p * (1.0 - p) / self.valid)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "rejections": self.rejections,
-            "valid": self.valid,
-            "errors": self.errors,
-            "proportion": self.proportion,
-            "std_error": self.std_error,
-        }
+        return {**super().to_dict(), "proportion": self.proportion,
+                "std_error": self.std_error}
 
 
 @dataclass(frozen=True)
-class RejectionReport:
+class RejectionReport(_Record):
     """Monte Carlo outcome: one rejection proportion per method column.
 
     The CSV form deliberately excludes elapsed time so identical runs
@@ -422,9 +398,9 @@ class RejectionReport:
     """
 
     config: SimConfig
-    outcomes: tuple[MethodOutcome, ...]
     replicates: int
     elapsed_seconds: float
+    outcomes: tuple[MethodOutcome, ...]
 
     CSV_HEADER = "method,rejections,valid,errors,proportion,std_error"
 
@@ -434,17 +410,9 @@ class RejectionReport:
                 return out
         raise KeyError(f"no outcome for method {method!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "replicates": self.replicates,
-            "elapsed_seconds": self.elapsed_seconds,
-            "outcomes": [out.to_dict() for out in self.outcomes],
-        }
-
     def csv_rows(self, *lead: str) -> list[str]:
         """One line per outcome under ``CSV_HEADER``, led by the ``lead`` fields."""
-        # the columns are the outcome's own fields; str of a float is its repr
+        # the columns are the outcome's JSON values; str of a float is its repr
         return [",".join((*lead, *map(str, out.to_dict().values()))) for out in self.outcomes]
 
     def to_csv(self) -> str:
@@ -583,7 +551,7 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
         )
     return RejectionReport(
         config=config,
-        outcomes=tuple(outcomes),
         replicates=config.replicates,
         elapsed_seconds=elapsed,
+        outcomes=tuple(outcomes),
     )

@@ -405,6 +405,18 @@ def test_screen_leaves_a_failed_set_out_of_the_family(tmp_path, capsys, correcti
     assert rows["quiet"] == "quiet,10,,,,"
 
 
+def test_screen_exits_one_when_every_set_fails(tmp_path, capsys):
+    data, sets = _screen_fixture(tmp_path)
+    write_stack_file(str(data), DataStack(np.ones((12, 30, 6))))  # constant data
+    code, report, err = _run(
+        ["screen", str(data), "--sets", str(sets), "--partition", "sizes=3,3"], capsys)
+    assert code == 1
+    assert err == "error: no row set produced a usable test result\n"
+    assert [e["name"] for e in report["sets"]] == ["big", "quiet"]
+    assert all(e["failure"] is not None and e["reject"] is None for e in report["sets"])
+    assert report["n_rejected"] == 0
+
+
 def test_screen_unknown_row_id_is_fatal(tmp_path, capsys):
     data, _ = _screen_fixture(tmp_path)
     sets = tmp_path / "bad_sets.txt"
@@ -476,6 +488,17 @@ def test_discover_all_columns_distinct(tmp_path, capsys):
     assert code == 0
     assert report["conclusion"] == "unstructured"
     assert report["steps"]["grouping"] is None
+
+
+def test_discover_exits_one_when_the_overall_test_fails(tmp_path, capsys):
+    data = tmp_path / "constant.tsv"
+    write_stack_file(str(data), DataStack(np.ones((8, 10, 4))))
+    code, report, err = _run(["discover", str(data)], capsys)
+    assert code == 1
+    failure = report["steps"]["overall"]["failure"]
+    assert failure is not None and err == f"error: {failure}\n"
+    assert report["conclusion"] is None
+    assert report["steps"]["pairs"] is None and report["steps"]["final"] is None
 
 
 def test_discover_recovery_rate_under_strong_effect():
@@ -637,7 +660,7 @@ def test_simulate_malformed_config_names_the_problem(tmp_path, capsys, case):
     if case == "factor without rho":
         raw["covariance"] = {"kind": "kronecker", "row": {"kind": "ar1", "dim": 5},
                              "col": {"kind": "ar1", "dim": 4, "rho": 0.3}}
-        expected = "missing field 'rho'"
+        expected = "field 'covariance': field 'row': missing field 'rho'"
     elif case == "no partition":
         del raw["partition"]
         expected = "missing field 'partition'"
@@ -696,8 +719,14 @@ _TWO_BY_TWO = {"n_rows": 2, "n_cols": 2, "partition": [1, 1]}
     ({"n_rows": 100000000000000},
      "n_subjects * n_rows * n_cols = 2400000000000000 exceeds the cap of "
      "100000000 values per stack"),
+    # 8e5 stack values, but a 1e5 x 1e5 row factor: refused before it is built
+    ({"n_subjects": 4, "n_rows": 100000, "n_cols": 2, "partition": [1, 1],
+      "covariance": {"kind": "kronecker", "row": {"kind": "ar1", "dim": 100000, "rho": 0.5},
+                     "col": {"kind": "ar1", "dim": 2, "rho": 0.3}}},
+     "field 'covariance': field 'row': a factor of dimension 100000 has 10000000000 "
+     "entries, over the cap of 100000000 values"),
 ], ids=["top-level", "nested", "spec-without-fields", "dense-string", "dense-bool",
-        "empty-block", "stack-size"])
+        "empty-block", "stack-size", "factor-size"])
 def test_simulate_config_error_names_its_path(tmp_path, capsys, changes, expected):
     raw = json.loads(_method_config(tmp_path / "good.json", ("proposed",)).read_text())
     raw.update(changes)
@@ -706,6 +735,29 @@ def test_simulate_config_error_names_its_path(tmp_path, capsys, changes, expecte
     code, report, err = _run(["simulate", "--config", str(path)], capsys)
     assert code == 1 and report is None
     assert err == f"error: {path}: {expected}\n"
+
+
+def test_simulate_outcome_without_a_valid_replicate_is_null_and_nan(
+        tmp_path, monkeypatch, capsys):
+    # the harness aborts before a method fails on every replicate, so the
+    # report is made by hand and returned in place of a run
+    import matmean.cli as cli
+    from matmean.simulate import MethodOutcome, RejectionReport
+
+    def no_valid_replicate(config, workers=None):
+        return RejectionReport(
+            config=config, replicates=config.replicates, elapsed_seconds=0.0,
+            outcomes=(MethodOutcome("proposed", rejections=0, valid=0,
+                                    errors=config.replicates),))
+
+    monkeypatch.setattr(cli, "monte_carlo", no_valid_replicate)
+    config = _method_config(tmp_path / "config.json", ("proposed",))
+    out = tmp_path / "run.csv"
+    code, report, _ = _run(["simulate", "--config", str(config), "--out", str(out)], capsys)
+    assert code == 0
+    (outcome,) = report["report"]["outcomes"]
+    assert outcome["proportion"] is None and outcome["std_error"] is None
+    assert out.read_text().splitlines()[1] == "proposed,0,0,100,nan,nan"
 
 
 def test_simulate_run_aborted_by_failures_is_one_error_line(tmp_path, capsys):
@@ -896,10 +948,15 @@ def test_every_module_star_import_resolves():
         exec(f"from {name} import *", namespace)
         offered[name] = namespace
     gone = {"analytic_power", "trace_ratio_diagnostic", "deviation", "z_quantile", "ndtri",
-            "PValueVector"}
-    for name in ("matmean", "matmean.engine", "matmean.core", "matmean.normal",
-                 "matmean.baselines"):
-        assert not gone & offered[name].keys(), name
+            "PValueVector", "factor_from_dict", "covariance_from_dict", "mean_from_dict",
+            "gen_noise", "rank", "param_string"}
+    assert {"matmean.covariance", "matmean.simulate"} <= offered.keys()
+    for name, namespace in offered.items():
+        assert not gone & namespace.keys(), name
+    from matmean.core import ProjectionMatrix
+    from matmean.presets import PresetCell
+
+    assert not hasattr(ProjectionMatrix, "rank") and not hasattr(PresetCell, "param_string")
 
 
 def test_simulate_calls_the_entry_points_set_on_the_cli_module(tmp_path, monkeypatch, capsys):

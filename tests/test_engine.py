@@ -378,3 +378,53 @@ def test_discover_pairs_equal_pair_partition_tests(shift):
         assert entry["p_value"] == pytest.approx(
             direct.p_value, rel=1e-12 if shift == 0.0 else 1e-9
         )
+
+
+# ---------------------------------------------------------------------------
+# invariances: relabelling subjects, rows or columns leaves the test alone
+
+
+def _relabel_case(seed):
+    """A (12, 8, 6) stack with a mean off the null, its partition and an m0."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((12, 8, 6)) + 0.5 * rng.standard_normal((8, 6))
+    part = GroupPartition.from_labels(rng.permutation([1, 1, 1, 2, 2, 2]))
+    m0 = rng.standard_normal((8, 6))
+    perms = [rng.permutation(k) for k in x.shape]
+    return x, part, m0, perms
+
+
+def test_z_is_invariant_to_permuting_subjects_rows_and_columns():
+    for seed in range(200):
+        x, part, m0, (s, a, b) = _relabel_case(seed)
+        base = mean_matrix_test(DataStack(x), part).statistic
+        known = known_matrix_test(DataStack(x), m0).statistic
+        cases = [
+            (x[s], part, m0),
+            (x[:, a], part, m0[a]),
+            (x[:, :, b], GroupPartition.from_labels(np.take(part.assignment, b)), m0[:, b]),
+        ]
+        for y, relabelled, m0_y in cases:
+            assert mean_matrix_test(DataStack(y), relabelled).statistic == pytest.approx(
+                base, rel=1e-12)
+            assert known_matrix_test(DataStack(y), m0_y).statistic == pytest.approx(
+                known, rel=1e-12)
+
+
+def test_screen_row_sets_is_invariant_to_permuting_subjects():
+    row_sets = [[0, 1, 2, 3], [2, 5, 7], list(range(8)), [6, 1]]
+    for seed in range(200):
+        x, part, _, (s, _, _) = _relabel_case(seed)
+        base = screen_row_sets(DataStack(x), part, row_sets)
+        permuted = screen_row_sets(DataStack(x[s]), part, row_sets)
+        for got, want in zip(permuted, base):
+            assert got.statistic == pytest.approx(want.statistic, rel=1e-12)
+
+
+def test_rows_orientation_is_the_columns_test_of_the_transpose_bit_for_bit():
+    for seed in range(200):
+        x, part, _, _ = _relabel_case(seed)
+        by_rows = mean_matrix_test(DataStack(x.transpose(0, 2, 1)), part, orientation="rows")
+        by_cols = mean_matrix_test(DataStack(x), part)
+        assert by_rows.orientation == "rows"
+        assert {**by_rows.to_dict(), "orientation": "columns"} == by_cols.to_dict()

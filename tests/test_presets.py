@@ -7,6 +7,7 @@ import pytest
 
 from matmean.cli import main
 
+from matmean.core import MAX_STACK_VALUES
 from matmean.covariance import (
     BlockDiagonalCovariance,
     IdentityCovariance,
@@ -18,7 +19,7 @@ from matmean.presets import (
     build_preset,
     parse_cell_filter,
 )
-from matmean.simulate import MAX_STACK_VALUES, SparseMean
+from matmean.simulate import SparseMean
 
 
 EXPECTED_CELLS = {
@@ -59,8 +60,8 @@ def test_every_preset_stack_is_under_the_config_cap(name):
 
 def test_param_strings_and_dims():
     cells = build_preset("table1", reps=10)
-    assert cells[0].param_string == "r=100,N=10"
-    assert cells[-1].param_string == "r=500,N=100"
+    assert cells[0].params == (("r", "100"), ("N", "10"))
+    assert cells[-1].params == (("r", "500"), ("N", "100"))
     for cell in cells:
         params = dict(cell.params)
         for run in cell.runs:

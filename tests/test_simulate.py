@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import matmean.simulate as simulate
-from matmean.core import DataStack, GroupPartition
+from matmean.core import DataStack, GroupPartition, _spec_from_dict
 from matmean.covariance import (
     Ar1Factor,
     BlockDiagonalCovariance,
@@ -16,8 +16,8 @@ from matmean.covariance import (
     DenseFactor,
     IdentityCovariance,
     KroneckerCovariance,
-    covariance_from_dict,
-    factor_from_dict,
+    _Covariance,
+    _Factor,
     sqrt_factor,
 )
 from matmean.simulate import (
@@ -27,9 +27,8 @@ from matmean.simulate import (
     SimConfig,
     SparseMean,
     ZeroMean,
-    gen_noise,
+    _Mean,
     gen_stack,
-    mean_from_dict,
     monte_carlo,
     replicate_rng,
 )
@@ -65,6 +64,15 @@ def test_dense_factor_rejects_non_spd():
     asym = np.array([[1.0, 0.2], [0.0, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         DenseFactor(asym)
+
+
+def test_factor_matrix_over_the_size_cap_is_refused_on_construction():
+    # 10_001 ** 2 entries is just over MAX_STACK_VALUES = 10 ** 8; nothing
+    # here builds a matrix
+    for factor in (lambda dim: Ar1Factor(dim, 0.5), CompoundFactor):
+        with pytest.raises(ValueError, match="factor of dimension 10001 has 100020001 entries"):
+            factor(10_001)
+        assert factor(10_000).dim == 10_000
 
 
 def test_identity_covariance_is_a_noop():
@@ -149,35 +157,35 @@ def test_covariance_dict_round_trips():
         DenseCovariance(np.eye(6) * 2.0),
     ]
     for spec in specs:
-        back = covariance_from_dict(spec.to_dict())
+        back = _spec_from_dict(_Covariance, spec.to_dict())
         if isinstance(spec, DenseCovariance):
             assert np.allclose(back.values, spec.values)
         else:
             assert back == spec
     with pytest.raises(ValueError):
-        covariance_from_dict({"kind": "mystery"})
+        _spec_from_dict(_Covariance, {"kind": "mystery"})
     # every factor and covariance kind: the JSON text, byte for byte, and
     # the same text back after reading it
     dense = np.array([[2.0, 0.5], [0.5, 1.0]])
     pinned = [
-        (factor_from_dict, Ar1Factor(5, 0.85), '{"kind": "ar1", "dim": 5, "rho": 0.85}'),
-        (factor_from_dict, CompoundFactor(3), '{"kind": "compound", "dim": 3, "rho": 0.5}'),
-        (factor_from_dict, DenseFactor(dense),
+        (_Factor, Ar1Factor(5, 0.85), '{"kind": "ar1", "dim": 5, "rho": 0.85}'),
+        (_Factor, CompoundFactor(3), '{"kind": "compound", "dim": 3, "rho": 0.5}'),
+        (_Factor, DenseFactor(dense),
          '{"kind": "dense", "values": [[2.0, 0.5], [0.5, 1.0]]}'),
-        (covariance_from_dict, IdentityCovariance(), '{"kind": "identity"}'),
-        (covariance_from_dict, CompoundCovariance(rho=0.25), '{"kind": "compound", "rho": 0.25}'),
-        (covariance_from_dict, KroneckerCovariance(Ar1Factor(5, 0.85), CompoundFactor(3)),
+        (_Covariance, IdentityCovariance(), '{"kind": "identity"}'),
+        (_Covariance, CompoundCovariance(rho=0.25), '{"kind": "compound", "rho": 0.25}'),
+        (_Covariance, KroneckerCovariance(Ar1Factor(5, 0.85), CompoundFactor(3)),
          '{"kind": "kronecker", "row": {"kind": "ar1", "dim": 5, "rho": 0.85}, '
          '"col": {"kind": "compound", "dim": 3, "rho": 0.5}}'),
-        (covariance_from_dict, BlockDiagonalCovariance((Ar1Factor(2, 0.5), DenseFactor(dense))),
+        (_Covariance, BlockDiagonalCovariance((Ar1Factor(2, 0.5), DenseFactor(dense))),
          '{"kind": "block_diagonal", "blocks": [{"kind": "ar1", "dim": 2, "rho": 0.5}, '
          '{"kind": "dense", "values": [[2.0, 0.5], [0.5, 1.0]]}]}'),
-        (covariance_from_dict, DenseCovariance(np.eye(2) * 2.0),
+        (_Covariance, DenseCovariance(np.eye(2) * 2.0),
          '{"kind": "dense", "values": [[2.0, 0.0], [0.0, 2.0]]}'),
     ]
-    for from_dict, spec, text in pinned:
+    for family, spec, text in pinned:
         assert json.dumps(spec.to_dict()) == text
-        assert json.dumps(from_dict(json.loads(text)).to_dict()) == text
+        assert json.dumps(_spec_from_dict(family, json.loads(text)).to_dict()) == text
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +201,10 @@ def test_scenario_tags():
 @pytest.mark.parametrize("tag", ["normal", "gamma", "mixture"])
 def test_scenario_moments_standardized(tag):
     rng = np.random.default_rng(76)
-    draws = gen_noise(NoiseScenario(tag), 100, 10, rng)
-    for _ in range(99):
-        draws = np.concatenate(
-            [draws.ravel(), gen_noise(NoiseScenario(tag), 100, 10, rng).ravel()]
-        )
-    z = draws.ravel()  # 1e5 entries
+    scenario = NoiseScenario(tag)
+    z = np.concatenate(
+        [simulate._noise_batch(scenario, 1, 100, 10, rng)[0].ravel() for _ in range(100)]
+    )  # 1e5 entries
     n = z.size
     assert n == 100_000
     mean_se = z.std(ddof=1) / np.sqrt(n)
@@ -211,7 +217,7 @@ def test_scenario_moments_standardized(tag):
 def test_gamma_scenario_skewness():
     # shape-4 gamma standardized: skewness 2/sqrt(4) = 1
     rng = np.random.default_rng(77)
-    z = gen_noise(NoiseScenario("gamma"), 1000, 1000, rng).ravel()
+    z = simulate._noise_batch(NoiseScenario("gamma"), 1, 1000, 1000, rng)[0].ravel()
     skew = ((z - z.mean()) ** 3).mean() / z.std() ** 3
     assert skew == pytest.approx(1.0, abs=0.02)
     assert z.min() >= -2.0  # support is bounded below at -mean/sd = -2
@@ -219,7 +225,7 @@ def test_gamma_scenario_skewness():
 
 def test_normal_scenario_excess_kurtosis():
     rng = np.random.default_rng(78)
-    z = gen_noise(NoiseScenario("normal"), 1000, 100, rng).ravel()
+    z = simulate._noise_batch(NoiseScenario("normal"), 1, 1000, 100, rng)[0].ravel()
     kurt = ((z - z.mean()) ** 4).mean() / z.var() ** 2 - 3.0
     se = np.sqrt(24.0 / z.size)
     assert abs(kurt) <= 4 * se
@@ -229,8 +235,9 @@ def test_mixture_splits_rows_at_half():
     # odd row count: the first floor(r/2) rows are the symmetric part
     rng = np.random.default_rng(79)
     r = 101
+    mixture = NoiseScenario("mixture")
     z = np.concatenate(
-        [gen_noise(NoiseScenario("mixture"), r, 40, rng) for _ in range(60)], axis=1
+        [simulate._noise_batch(mixture, 1, r, 40, rng)[0] for _ in range(60)], axis=1
     )
     top, bottom = z[: r // 2].ravel(), z[r // 2 :].ravel()
     skew = lambda v: ((v - v.mean()) ** 3).mean() / v.std() ** 3
@@ -256,8 +263,9 @@ def test_noise_batch_matches_whole_array_draws(tag):
 
 
 def test_noise_is_deterministic_per_seed():
-    a = gen_noise(NoiseScenario("mixture"), 30, 7, np.random.default_rng(80))
-    b = gen_noise(NoiseScenario("mixture"), 30, 7, np.random.default_rng(80))
+    mixture = NoiseScenario("mixture")
+    a = simulate._noise_batch(mixture, 1, 30, 7, np.random.default_rng(80))[0]
+    b = simulate._noise_batch(mixture, 1, 30, 7, np.random.default_rng(80))[0]
     assert np.array_equal(a, b)
 
 
@@ -353,11 +361,11 @@ def test_calibrate_mean_dispatch_and_dict_round_trip():
     for spec, text in specs.items():
         m = spec.build(20, 10, None)
         assert m.shape == (20, 10)
-        assert mean_from_dict(spec.to_dict()) == spec
+        assert _spec_from_dict(_Mean, spec.to_dict()) == spec
         assert json.dumps(spec.to_dict()) == text
-        assert mean_from_dict(json.loads(text)) == spec
+        assert _spec_from_dict(_Mean, json.loads(text)) == spec
     with pytest.raises(ValueError):
-        mean_from_dict({"kind": "surprise"})
+        _spec_from_dict(_Mean, {"kind": "surprise"})
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +394,7 @@ def test_gen_stack_identity_equals_noise_plus_mean():
     m = cfg.mean.build(12, 4, cfg.covariance)
     stack = gen_stack(cfg, np.random.default_rng(81))
     rng = np.random.default_rng(81)
-    z = np.stack([gen_noise(cfg.scenario, 12, 4, rng) for _ in range(8)])
+    z = np.stack([simulate._noise_batch(cfg.scenario, 1, 12, 4, rng)[0] for _ in range(8)])
     assert np.allclose(stack.values, z + m, atol=1e-12)
 
 
@@ -545,6 +553,29 @@ def test_documented_config_round_trips():
     assert SimConfig.from_dict(d).to_dict() == d
 
 
+def test_sim_config_omitted_fields_take_their_defaults():
+    d = _config().to_dict()
+    for name in ("alpha", "replicates", "seed", "methods"):
+        del d[name]
+    cfg = SimConfig.from_dict(d)
+    assert (cfg.alpha, cfg.replicates, cfg.seed, cfg.methods) == (0.05, 1000, 0, ("proposed",))
+
+
+@pytest.mark.parametrize("path, expected", [
+    (("partition",), "missing field 'partition'"),
+    (("covariance", "row", "rho"), "field 'covariance': field 'row': missing field 'rho'"),
+], ids=["top-level", "nested"])
+def test_sim_config_missing_field_is_a_value_error_naming_its_path(path, expected):
+    d = _config(covariance=KroneckerCovariance(Ar1Factor(12, 0.5), CompoundFactor(4))).to_dict()
+    spec = d
+    for name in path[:-1]:
+        spec = spec[name]
+    del spec[path[-1]]
+    with pytest.raises(ValueError) as info:
+        SimConfig.from_dict(d)
+    assert str(info.value) == expected
+
+
 def test_replicate_rng_streams():
     a = replicate_rng(9, 4).standard_normal(5)
     b = replicate_rng(9, 4).standard_normal(5)
@@ -625,3 +656,28 @@ def test_rejection_report_serialization():
     assert float(first[4]) == rep.outcome(lines[1].split(",")[0]).proportion
     with pytest.raises(KeyError):
         rep.outcome("nope")
+
+
+def test_rejection_report_json_and_csv_forms_are_pinned():
+    # the report's keys in order, and an outcome without a valid replicate,
+    # whose proportion and standard error are NaN
+    cfg = _config(methods=("proposed", "cq"))
+    rep = simulate.RejectionReport(
+        config=cfg, replicates=150, elapsed_seconds=1.5,
+        outcomes=(simulate.MethodOutcome("proposed", rejections=6, valid=150, errors=0),
+                  simulate.MethodOutcome("cq_bon", rejections=0, valid=0, errors=150)),
+    )
+    d = rep.to_dict()
+    assert list(d) == ["config", "replicates", "elapsed_seconds", "outcomes"]
+    assert d["config"] == cfg.to_dict()
+    assert json.dumps(d["outcomes"]) == (
+        '[{"method": "proposed", "rejections": 6, "valid": 150, "errors": 0, '
+        '"proportion": 0.04, "std_error": 0.016}, '
+        '{"method": "cq_bon", "rejections": 0, "valid": 0, "errors": 150, '
+        '"proportion": NaN, "std_error": NaN}]'
+    )
+    assert rep.to_csv() == (
+        "method,rejections,valid,errors,proportion,std_error\n"
+        "proposed,6,150,0,0.04,0.016\n"
+        "cq_bon,0,0,150,nan,nan\n"
+    )
