@@ -294,10 +294,14 @@ class BlockDiagonalCovariance(_Record, kind="block_diagonal"):
 
     def root(self, r: int, c: int) -> _BlockRoot:
         self.check_dims(r, c)
+        # one root per factor object: blocks that share a factor share its root
+        roots = {}
         offsets_roots = []
         off = 0
         for i, b in enumerate(self.blocks):
-            offsets_roots.append((off, _spd_root(b.build(), f"block {i + 1}")))
+            if id(b) not in roots:
+                roots[id(b)] = _spd_root(b.build(), f"block {i + 1}")
+            offsets_roots.append((off, roots[id(b)]))
             off += b.dim
         return _BlockRoot(offsets_roots, r, c)
 

@@ -162,9 +162,9 @@ def _build_table2(reps, seed):
 
 
 def _block_covariance(r: int) -> BlockDiagonalCovariance:
-    blocks = tuple(Ar1Factor(r, _BLOCK_RHO_FIRST) for _ in range(5))
-    blocks += tuple(Ar1Factor(r, _BLOCK_RHO_REST) for _ in range(5))
-    return BlockDiagonalCovariance(blocks)
+    # one factor object per group of equal blocks, so its root is taken once
+    return BlockDiagonalCovariance(
+        (Ar1Factor(r, _BLOCK_RHO_FIRST),) * 5 + (Ar1Factor(r, _BLOCK_RHO_REST),) * 5)
 
 
 def _build_table3(reps, seed):

@@ -9,7 +9,9 @@ across dimensions.
 
 Replicate k of a run draws from its own counter-based RNG stream, so
 results are identical no matter how replicates are scheduled across
-threads.  Each worker thread builds its stacks in one set of buffers
+threads.  The calling thread is worker 0: it runs replicate 0 alone,
+then ``workers - 1`` helper threads take the remaining replicates
+alongside it.  Each worker builds its stacks in one set of buffers
 that lives for the whole run: N*r*c floats for the stack, plus the
 same again for each scratch array the covariance root needs (none for
 the identity, one for compound symmetry, two otherwise).
@@ -21,7 +23,6 @@ import math
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -505,14 +506,9 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
     per_column = GroupPartition(tuple(range(1, c + 1)))
     # verdicts[k]: one verdict per outcome column on replicate k
     verdicts: list = [None] * config.replicates
-    # each worker thread builds every stack in its own set of buffers
-    local = threading.local()
 
-    def run_one(k: int) -> None:
+    def run_one(k: int, buffers) -> None:
         rng = replicate_rng(config.seed, k)
-        buffers = getattr(local, "buffers", None)
-        if buffers is None:
-            buffers = local.buffers = stack_buffers(config, root)
         stack = gen_stack(config, rng, root=root, mean=mean, buffers=buffers)
         row = []
         for method in config.methods:
@@ -523,14 +519,39 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
                 row.extend((None,) * len(columns))
         verdicts[k] = row
 
+    # each worker claims the next index left until none is; the first error
+    # stops them all and is raised once every helper has returned
+    pending = iter(range(1, config.replicates))
+    claim = threading.Lock()
+    failures: list[BaseException] = []
+
+    def work(buffers) -> None:
+        try:
+            while not failures:
+                with claim:
+                    k = next(pending, None)
+                if k is None:
+                    return
+                run_one(k, buffers)
+        except BaseException as exc:
+            failures.append(exc)
+
     started = time.perf_counter()
     n_workers = _worker_count(workers)
-    if n_workers == 1:
-        for k in range(config.replicates):
-            run_one(k)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_one, range(config.replicates)))
+    # the calling thread is worker 0 and runs replicate 0 alone, so what a
+    # method loads on first use is loaded once, here; each worker builds
+    # its stacks in one set of buffers
+    buffers = stack_buffers(config, root)
+    run_one(0, buffers)
+    helpers = [threading.Thread(target=work, args=(stack_buffers(config, root),))
+               for _ in range(n_workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work(buffers)
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
     elapsed = time.perf_counter() - started
 
     outcomes = []

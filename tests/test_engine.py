@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from matmean.baselines import chen_qin_two_sample
+from matmean.baselines import chen_qin_two_sample, pairwise_cq_procedure
 from matmean.core import DataStack, GroupPartition, build_projection
 from matmean.engine import (
     MIN_SUBJECTS,
@@ -409,6 +409,38 @@ def test_z_is_invariant_to_permuting_subjects_rows_and_columns():
                 base, rel=1e-12)
             assert known_matrix_test(DataStack(y), m0_y).statistic == pytest.approx(
                 known, rel=1e-12)
+
+
+def test_known_difference_z_is_invariant_to_permuting_subjects_and_rows():
+    for seed in range(200):
+        x, _, m0, (s, a, _) = _relabel_case(seed)
+        mu0 = m0[:, 0]
+        base = known_difference_test(DataStack(x), mu0, col_a=1, col_b=3).statistic
+        for y, mu0_y in [(x[s], mu0), (x[:, a], mu0[a])]:
+            assert known_difference_test(DataStack(y), mu0_y, col_a=1, col_b=3).statistic == (
+                pytest.approx(base, rel=1e-12))
+
+
+def test_chen_qin_z_is_invariant_to_permuting_vectors_and_coordinates():
+    for seed in range(200):
+        x, _, _, (s, a, b) = _relabel_case(seed)
+        v = x.reshape(12, -1)
+        first, second = v[:6], v[6:]
+        base = chen_qin_two_sample(first, second).statistic
+        # each group's vectors reordered among themselves, and one coordinate order for both
+        within = (first[np.argsort(s[:6])], second[np.argsort(s[6:])])
+        coords = np.arange(v.shape[1]).reshape(8, 6)[a][:, b].ravel()
+        for g1, g2 in [within, (first[:, coords], second[:, coords])]:
+            assert chen_qin_two_sample(g1, g2).statistic == pytest.approx(base, rel=1e-12)
+
+
+def test_pairwise_cq_p_values_are_invariant_to_permuting_subjects_and_rows():
+    # the scan exposes no z, and its tails amplify rounding, hence 1e-11
+    for seed in range(200):
+        x, _, _, (s, a, _) = _relabel_case(seed)
+        base = pairwise_cq_procedure(DataStack(x)).p_values
+        for y in (x[s], x[:, a]):
+            assert pairwise_cq_procedure(DataStack(y)).p_values == pytest.approx(base, rel=1e-11)
 
 
 def test_screen_row_sets_is_invariant_to_permuting_subjects():

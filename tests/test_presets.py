@@ -106,6 +106,8 @@ def test_table3_block_dependence_against_cq():
         assert run.kind == "size"
         assert run.config.methods == ("proposed", "cq")
         assert isinstance(run.config.covariance, BlockDiagonalCovariance)
+        # one factor object per group of equal blocks, so two roots per cell
+        assert len({id(b) for b in run.config.covariance.blocks}) == 2
         assert run.config.scenario.tag == dict(cell.params)["scenario"]
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +117,25 @@ def test_block_diagonal_root_matches_dense_root():
         assert np.allclose(fast[i], direct, atol=1e-10)
     with pytest.raises(ValueError):
         cov.check_dims(r, 4)  # needs one block per column
+
+
+def test_block_diagonal_takes_one_root_per_factor_object(monkeypatch):
+    import matmean.covariance as covariance
+
+    real = covariance._spd_root
+    labels = []
+    monkeypatch.setattr(covariance, "_spd_root",
+                        lambda mat, label: labels.append(label) or real(mat, label))
+    r, c = 5, 4
+    first, rest = Ar1Factor(r, 0.5), Ar1Factor(r, 0.4)
+    shared = BlockDiagonalCovariance((first, first, rest, rest)).root(r, c)
+    assert labels == ["block 1", "block 3"]
+    # equal factors that are distinct objects each take their own root, the same bits
+    equal = BlockDiagonalCovariance(
+        (Ar1Factor(r, 0.5), Ar1Factor(r, 0.5), Ar1Factor(r, 0.4), Ar1Factor(r, 0.4))).root(r, c)
+    assert len(labels) == 6
+    z = np.random.default_rng(75).standard_normal((3, r, c))
+    assert np.array_equal(shared.apply(z), equal.apply(z))
 
 
 def test_kronecker_sample_covariance_monte_carlo():
@@ -588,11 +609,71 @@ def test_replicate_rng_streams():
 
 def test_monte_carlo_deterministic_across_worker_counts():
     cfg = _config(methods=("proposed", "anova"))
-    rep1 = monte_carlo(cfg, workers=1)
-    rep3 = monte_carlo(cfg, workers=3)
-    for name in cfg.outcome_names():
-        o1, o3 = rep1.outcome(name), rep3.outcome(name)
-        assert (o1.rejections, o1.valid, o1.errors) == (o3.rejections, o3.valid, o3.errors)
+    csv = {workers: monte_carlo(cfg, workers=workers).to_csv() for workers in (1, 2, 3)}
+    assert csv[1] == csv[2] == csv[3]
+
+
+def _record_replicates(monkeypatch):
+    """(index, thread id) of every replicate_rng call monte_carlo makes."""
+    calls = []
+    real = simulate.replicate_rng
+
+    def recording(seed, index):
+        calls.append((index, threading.get_ident()))
+        return real(seed, index)
+
+    monkeypatch.setattr(simulate, "replicate_rng", recording)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_monte_carlo_runs_every_replicate_once_and_replicate_0_in_the_caller(
+        monkeypatch, workers):
+    calls = _record_replicates(monkeypatch)
+    # up to more workers than cores, with a thread switch every microsecond
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        monte_carlo(_config(), workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(k for k, _ in calls) == list(range(150))
+    # the calling thread runs replicate 0 before any helper starts
+    assert calls[0] == (0, threading.get_ident())
+
+
+def test_monte_carlo_with_one_worker_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("monte_carlo started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert monte_carlo(_config(), workers=1).outcome("proposed").valid == 150
+
+
+def test_monte_carlo_raises_what_a_helper_replicate_raises(monkeypatch):
+    caller = threading.get_ident()
+    raised = threading.Event()
+    real = simulate.mean_matrix_test
+    caller_calls = []
+
+    def scorer(stack, partition, alpha):
+        if threading.get_ident() != caller:
+            raised.set()
+            raise RuntimeError("injected on a helper")
+        # after replicate 0, which runs before the helper starts, the caller
+        # waits for a helper's replicate to fail, so one surely runs
+        if caller_calls:
+            raised.wait(timeout=30)
+        caller_calls.append(None)
+        return real(stack, partition, alpha=alpha)
+
+    monkeypatch.setattr(simulate, "mean_matrix_test", scorer)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected on a helper"):
+        monte_carlo(_config(), workers=2)
+    assert raised.is_set()
+    # the helpers are joined before the error leaves monte_carlo
+    assert threading.active_count() == threads
 
 
 def test_monte_carlo_minimum_replicates():
