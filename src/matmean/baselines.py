@@ -33,7 +33,8 @@ import numpy as np
 
 from .core import DataStack, GroupPartition
 # trace_cov_sq_fast is not called here, but perfbench/tracer.py wraps it by name
-from .engine import TestResult, _gram, _one_sample_terms, _standardize, trace_cov_sq_fast
+from .engine import (MIN_SUBJECTS, TestResult, _gram, _one_sample_terms, _standardize,
+                     trace_cov_sq_fast)
 
 __all__ = [
     "PairwiseCqSummary",
@@ -66,10 +67,9 @@ def _pooled_layout(stack: DataStack, partition: GroupPartition):
     g = partition.n_groups
     if g < 2:
         raise ValueError("row-wise tests need at least 2 column groups")
+    # with n >= 2 and c >= g, the error term has n*c - g >= g >= 2 degrees of freedom
     if n < 2:
         raise ValueError("pooling needs at least 2 subjects per column")
-    if n * c - g < 1:
-        raise ValueError("not enough pooled observations for the error term")
     indicator = np.zeros((c, g))
     assign = np.asarray(partition.assignment) - 1
     indicator[np.arange(c), assign] = 1.0
@@ -289,8 +289,8 @@ def chen_qin_two_sample(group1, group2, alpha: float = 0.05) -> TestResult:
         )
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("group data contain non-finite values")
-    if x.shape[0] < 4 or y.shape[0] < 4:
-        raise ValueError("each group needs at least 4 vectors")
+    if min(x.shape[0], y.shape[0]) < MIN_SUBJECTS:
+        raise ValueError(f"each group needs at least {MIN_SUBJECTS} vectors")
     with np.errstate(over="ignore", invalid="ignore"):
         cross = x @ y.T
     terms = _one_sample_terms(_gram(x)), _one_sample_terms(_gram(y))
@@ -330,8 +330,8 @@ def pairwise_cq_procedure(stack: DataStack, alpha: float = 0.05) -> PairwiseCqSu
     scored in one batched call.
     """
     n, r, c = stack.values.shape
-    if n < 4:
-        raise ValueError("pairwise scan needs at least 4 subjects")
+    if n < MIN_SUBJECTS:
+        raise ValueError(f"pairwise scan needs at least {MIN_SUBJECTS} subjects")
     if c < 2:
         raise ValueError("pairwise scan needs at least 2 columns")
     flat = stack.values.transpose(2, 0, 1).reshape(c * n, r)

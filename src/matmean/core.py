@@ -139,24 +139,6 @@ class ProjectionMatrix:
         p.setflags(write=False)
         return p
 
-    @cached_property
-    def _labels(self) -> np.ndarray:
-        return np.asarray(self.partition.assignment) - 1
-
-    @cached_property
-    def _sizes(self) -> np.ndarray:
-        return np.asarray(self.partition.sizes)
-
-    @cached_property
-    def _starts(self) -> np.ndarray:
-        """Position of each group's first column once columns are sorted by group."""
-        return np.cumsum(self._sizes) - self._sizes
-
-    @cached_property
-    def _contiguous(self) -> bool:
-        """True when every group is one run of adjacent columns, in group order."""
-        return bool((np.diff(self._labels) >= 0).all())
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``x @ values`` for x of shape (..., c), at O(x.size) cost.
 
@@ -170,11 +152,15 @@ class ProjectionMatrix:
             raise ValueError(
                 f"last axis has length {x.shape[-1]}, projection expects {self.n_cols}"
             )
-        if not self._contiguous:
-            order = np.argsort(self._labels, kind="stable")
-            means = np.add.reduceat(x[..., order], self._starts, axis=-1) / self._sizes
-            return x - means[..., self._labels]
-        means = np.add.reduceat(x, self._starts, axis=-1) / self._sizes
+        labels = np.asarray(self.partition.assignment) - 1
+        sizes = np.asarray(self.partition.sizes)
+        # position of each group's first column once columns are sorted by group
+        starts = np.cumsum(sizes) - sizes
+        if (np.diff(labels) < 0).any():
+            order = np.argsort(labels, kind="stable")
+            means = np.add.reduceat(x[..., order], starts, axis=-1) / sizes
+            return x - means[..., labels]
+        means = np.add.reduceat(x, starts, axis=-1) / sizes
         out = np.empty(x.shape)
         lo = 0
         for q, size in enumerate(self.partition.sizes):

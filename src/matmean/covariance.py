@@ -50,10 +50,6 @@ def _spd_root(mat: np.ndarray, label: str) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _unvec(v: np.ndarray, r: int, c: int) -> np.ndarray:
-    return v.reshape(-1, c, r).transpose(0, 2, 1)
-
-
 # ---------------------------------------------------------------------------
 # factors
 
@@ -129,13 +125,6 @@ _Factor = Ar1Factor | CompoundFactor | DenseFactor
 # covariance specs
 
 
-def _scratch(scratch, count: int, size: int):
-    """The caller's scratch arrays, or ``count`` fresh ones of ``size`` floats."""
-    if scratch is None:
-        return [np.empty(size) for _ in range(count)]
-    return scratch
-
-
 def _vec_into(buf: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Column-major vec of each matrix of ``z``, written into the flat ``buf``."""
     n, r, c = z.shape
@@ -144,21 +133,17 @@ def _vec_into(buf: np.ndarray, z: np.ndarray) -> np.ndarray:
     return v.reshape(n, c * r)
 
 
-# Every root's ``apply(z, out=None, scratch=None)`` writes into ``out``
-# when given (which may be ``z`` itself, since z is read before out is
-# written) and works in ``scratch``: ``scratch_count`` flat float arrays
-# of z.size entries.  Without them it allocates, so a root can be shared
-# by threads that each pass their own buffers.
+# Every root's ``apply(z, scratch)`` overwrites the (n, r, c) noise ``z``
+# with the correlated stack and returns it, working in ``scratch``:
+# ``scratch_count`` flat float arrays of z.size entries.  A root holds no
+# buffers, so threads that each pass their own can share one.
 
 
 class _IdentityRoot:
     scratch_count = 0
 
-    def apply(self, z, out=None, scratch=None):
-        if out is None or out is z:
-            return z
-        np.copyto(out, z)
-        return out
+    def apply(self, z, scratch):
+        return z
 
 
 class _KroneckerRoot:
@@ -168,35 +153,32 @@ class _KroneckerRoot:
         self.row_root = row_root
         self.col_root = col_root
 
-    def apply(self, z, out=None, scratch=None):
+    def apply(self, z, scratch):
         n, r, c = z.shape
-        zt, rz = _scratch(scratch, self.scratch_count, z.size)
+        zt, rz = scratch
         zb = zt.reshape(r, n, c)
         np.copyto(zb, z.transpose(1, 0, 2))
         w = np.matmul(self.row_root, zb.reshape(r, n * c), out=rz.reshape(r, n * c))
-        return np.matmul(w.reshape(r, n, c).transpose(1, 0, 2), self.col_root, out=out)
+        return np.matmul(w.reshape(r, n, c).transpose(1, 0, 2), self.col_root, out=z)
 
 
 class _BlockRoot:
     scratch_count = 2
 
-    def __init__(self, offsets_roots, r, c):
+    def __init__(self, offsets_roots):
         self.offsets_roots = offsets_roots
-        self.r = r
-        self.c = c
 
-    def apply(self, z, out=None, scratch=None):
-        vs, ws = _scratch(scratch, self.scratch_count, z.size)
+    def apply(self, z, scratch):
+        n, r, c = z.shape
+        vs, ws = scratch
         v = _vec_into(vs, z)
         w = ws.reshape(v.shape)
         for off, root in self.offsets_roots:
             d = root.shape[0]
             # roots are symmetric, so right-multiplication applies them
             np.matmul(v[:, off : off + d], root, out=w[:, off : off + d])
-        if out is None:
-            out = np.empty(z.shape)
-        np.copyto(out, _unvec(w, self.r, self.c))
-        return out
+        np.copyto(z, w.reshape(n, c, r).transpose(0, 2, 1))
+        return z
 
 
 class _CompoundRoot:
@@ -209,13 +191,13 @@ class _CompoundRoot:
         self.a = np.sqrt(1.0 - rho)
         self.b = (np.sqrt(1.0 - rho + d * rho) - self.a) / d
 
-    def apply(self, z, out=None, scratch=None):
-        (vs,) = _scratch(scratch, self.scratch_count, z.size)
+    def apply(self, z, scratch):
+        (vs,) = scratch
         # the sum runs in vec order; the rest is elementwise
         shift = self.b * _vec_into(vs, z).sum(axis=1)
-        out = np.multiply(z, self.a, out=out)
-        out += shift[:, None, None]
-        return out
+        z *= self.a
+        z += shift[:, None, None]
+        return z
 
 
 @dataclass(frozen=True)
@@ -303,7 +285,7 @@ class BlockDiagonalCovariance(_Record, kind="block_diagonal"):
                 roots[id(b)] = _spd_root(b.build(), f"block {i + 1}")
             offsets_roots.append((off, roots[id(b)]))
             off += b.dim
-        return _BlockRoot(offsets_roots, r, c)
+        return _BlockRoot(offsets_roots)
 
 
 @dataclass(frozen=True)
@@ -339,7 +321,7 @@ class DenseCovariance(_Record, kind="dense"):
     def root(self, r: int, c: int) -> _BlockRoot:
         self.check_dims(r, c)
         # one block spanning all of vec(X)
-        return _BlockRoot([(0, _spd_root(self.values, "covariance"))], r, c)
+        return _BlockRoot([(0, _spd_root(self.values, "covariance"))])
 
 
 @dataclass(frozen=True)
@@ -382,11 +364,11 @@ def _guard_dense(dim: int) -> None:
 def sqrt_factor(spec, r: int, c: int):
     """Sampling root of a covariance spec.
 
-    The returned object's ``apply`` maps an (n, r, c) stack of iid
-    unit-variance noise to a stack with covariance ``spec`` on each vec(X).
-    It takes ``out=`` (which may be the noise itself) and ``scratch=``,
-    ``scratch_count`` flat arrays of n*r*c floats, to work without
-    allocating.
+    The returned object's ``apply(z, scratch)`` overwrites an (n, r, c)
+    stack ``z`` of iid unit-variance noise with a stack that has
+    covariance ``spec`` on each vec(X), and returns ``z``.  ``scratch``
+    is a sequence of ``scratch_count`` flat arrays of n*r*c floats that
+    it works in, so it allocates nothing.
     """
     return spec.root(r, c)
 

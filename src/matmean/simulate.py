@@ -39,7 +39,7 @@ from .core import (
     _read_value,
 )
 from .covariance import _Covariance, sqrt_factor
-from .engine import mean_matrix_test
+from .engine import MIN_SUBJECTS, mean_matrix_test
 
 __all__ = [
     "NoiseScenario",
@@ -86,15 +86,14 @@ class NoiseScenario:
         return cls(_read_value(str, tag).strip().lower())
 
 
-def _noise_batch(
-    scenario: NoiseScenario, n: int, r: int, c: int, rng, out: np.ndarray | None = None
-) -> np.ndarray:
+def _noise_batch(scenario: NoiseScenario, rng, z: np.ndarray) -> np.ndarray:
+    """Fill the (n, r, c) array ``z`` with standardized noise and return it."""
     # draw order is part of the determinism contract: the normal rows of
     # every subject, then the gamma rows of every subject.  Drawing each
     # subject's rows in turn into place uses the stream exactly as one
     # (n, rows, c) draw would, and a zero-size draw leaves it untouched.
+    r = z.shape[1]
     top = {"normal": r, "gamma": 0, "mixture": r // 2}[scenario.tag]
-    z = np.empty((n, r, c)) if out is None else out
     for rows in z[:, :top]:
         rng.standard_normal(out=rows)
     for rows in z[:, top:]:
@@ -464,8 +463,7 @@ def gen_stack(config: SimConfig, rng, *, root=None, mean=None, buffers=None) -> 
     # the noise is drawn into the stack buffer and the root writes its
     # output over it, so the mean goes in place and the stack takes a
     # view without a copy
-    z = _noise_batch(config.scenario, n, r, c, rng, out=buffers[0].reshape(n, r, c))
-    x = root.apply(z, out=z, scratch=buffers[1:])
+    x = root.apply(_noise_batch(config.scenario, rng, buffers[0].reshape(n, r, c)), buffers[1:])
     x += mean
     return DataStack._owning(x)
 
@@ -498,8 +496,8 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
     if needs_columns and c < 2:
         raise ValueError("column-wise baselines need at least 2 columns")
     if "proposed" in config.methods or "cq" in config.methods:
-        if n < 4:
-            raise ValueError("proposed and cq methods need at least 4 subjects")
+        if n < MIN_SUBJECTS:
+            raise ValueError(f"proposed and cq methods need at least {MIN_SUBJECTS} subjects")
 
     root = sqrt_factor(config.covariance, r, c)
     mean = config.mean.build(r, c, config.covariance)

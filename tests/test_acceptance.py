@@ -186,8 +186,9 @@ def test_c9_estimators_are_unbiased():
 
     dev = np.empty(reps)
     trc = np.empty(reps)
+    scratch = [np.empty(n * r * c) for _ in range(root.scratch_count)]
     for k in range(reps):
-        x = root.apply(rng.standard_normal((n, r, c))) + mean
+        x = root.apply(rng.standard_normal((n, r, c)), scratch) + mean
         gram = compute_gram(DataStack(x), build_projection(partition))
         dev[k] = deviation_estimate(gram)
         trc[k] = trace_cov_sq_fast(gram)

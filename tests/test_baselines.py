@@ -342,6 +342,30 @@ def test_chen_qin_input_validation():
         chen_qin_two_sample(rng.standard_normal((5, 5)), rng.standard_normal((6, 4)))
 
 
+_STACK = DataStack(np.random.default_rng(64).standard_normal((6, 4, 4)))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: anova_rowwise(_STACK, GroupPartition.from_sizes((2, 2, 2))),
+                 "partition covers 6 columns, stack has 4", id="partition-width"),
+    pytest.param(lambda: kruskal_rowwise(_STACK, GroupPartition.from_sizes((4,))),
+                 "row-wise tests need at least 2 column groups", id="one-group"),
+    pytest.param(lambda: anova_rowwise(DataStack(_STACK.values[:1]),
+                                       GroupPartition.from_sizes((2, 2))),
+                 "pooling needs at least 2 subjects per column", id="one-subject"),
+    pytest.param(lambda: chen_qin_two_sample(np.full((6, 5), np.nan), np.zeros((6, 5))),
+                 "group data contain non-finite values", id="cq-finite"),
+    pytest.param(lambda: chen_qin_two_sample(np.ones((3, 5)), np.ones((6, 5))),
+                 "each group needs at least 4 vectors", id="cq-group-size"),
+    pytest.param(lambda: pairwise_cq_procedure(DataStack(_STACK.values[:3])),
+                 "pairwise scan needs at least 4 subjects", id="pairwise-subjects"),
+])
+def test_invalid_baseline_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_pairwise_cq_pairs_and_adjustment():
     rng = np.random.default_rng(61)
     stack = DataStack(rng.standard_normal((8, 20, 3)))

@@ -132,6 +132,20 @@ def test_parse_partition_spec_unit():
         parse_partition_spec("sizes=2,two", ids)
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("sizes=", "partition spec 'sizes=' names no groups"),
+    ("sizes=0,3", "partition group sizes must be positive"),
+    ("groups=a:", "bad group token 'a:', expected colid:groupid"),
+    # empty tokens are skipped, so the spec leaves columns out
+    ("groups=", "partition must cover every column; missing: w, x, y, z"),
+    ("groups=w:a,,x:a", "partition must cover every column; missing: y, z"),
+])
+def test_bad_partition_spec_is_refused_with_its_message(spec, message):
+    with pytest.raises(CliError) as info:
+        parse_partition_spec(spec, ("w", "x", "y", "z"))
+    assert str(info.value) == message
+
+
 def test_rows_orientation_matches_manual_transpose(tmp_path, capsys):
     rng = np.random.default_rng(7)
     v = rng.standard_normal((8, 5, 12))

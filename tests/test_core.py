@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import matmean
 from matmean.core import (
     DataStack,
     GroupPartition,
@@ -203,3 +204,22 @@ def test_projection_apply_equals_gather_expression_bytes(partition):
             expected = _gather_apply(partition, arr)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("error, call, message", [
+    pytest.param(ValueError, lambda: build_projection(GroupPartition.from_sizes((2, 2))).apply(
+                     np.ones((3, 5))),
+                 "last axis has length 5, projection expects 4", id="projection-width"),
+    pytest.param(ValueError, lambda: drop_singletons(DataStack(np.ones((4, 2, 3))),
+                                                     GroupPartition.from_sizes((2, 2))),
+                 "stack has 3 columns but partition covers 4", id="drop-width"),
+    pytest.param(ValueError, lambda: drop_singletons(DataStack(np.ones((4, 2, 3))),
+                                                     GroupPartition((1, 2, 3))),
+                 "all groups are singletons; nothing left to test", id="drop-all"),
+    pytest.param(AttributeError, lambda: matmean.no_such_name,
+                 "module 'matmean' has no attribute 'no_such_name'", id="package-attribute"),
+])
+def test_invalid_input_is_refused_with_its_message(error, call, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -297,6 +297,32 @@ def test_partition_must_cover_columns():
         mean_matrix_test(stack, GroupPartition.from_sizes((3, 2)))
 
 
+_STACK = DataStack(np.random.default_rng(41).standard_normal((6, 4, 3)))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: deviation_estimate(np.ones((3, 4))),
+                 "gram matrix must be square, got shape (3, 4)", id="gram-not-square"),
+    pytest.param(lambda: mean_matrix_test(_STACK, GroupPartition.from_sizes((3,)),
+                                          orientation="diagonal"),
+                 "orientation must be 'columns' or 'rows', got 'diagonal'", id="orientation"),
+    pytest.param(lambda: known_matrix_test(_STACK, np.zeros((3, 3))),
+                 "m0 has shape (3, 3), expected (4, 3)", id="m0-shape"),
+    pytest.param(lambda: known_matrix_test(_STACK, np.full((4, 3), np.nan)),
+                 "m0 contains non-finite values", id="m0-finite"),
+    pytest.param(lambda: known_difference_test(_STACK, np.zeros(3), 0, 1),
+                 "mu0 must be a scalar or length-4 vector", id="mu0-length"),
+    pytest.param(lambda: known_difference_test(_STACK, np.zeros((4, 1)), 0, 1),
+                 "mu0 must be a scalar or length-4 vector", id="mu0-ndim"),
+    pytest.param(lambda: known_difference_test(_STACK, np.inf, 0, 1),
+                 "mu0 contains non-finite values", id="mu0-finite"),
+])
+def test_invalid_test_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_degenerate_data_reports_failure():
     identical = DataStack(np.stack([np.arange(12.0).reshape(3, 4)] * 4))
     huge = DataStack(np.random.default_rng(49).standard_normal((8, 6, 4)) * 1e100)
@@ -460,3 +486,67 @@ def test_rows_orientation_is_the_columns_test_of_the_transpose_bit_for_bit():
         by_cols = mean_matrix_test(DataStack(x), part)
         assert by_rows.orientation == "rows"
         assert {**by_rows.to_dict(), "orientation": "columns"} == by_cols.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# cancellation in the estimators
+#
+# The statistic is scale-free, and the trace estimate does not see a
+# shift of every subject.  In floating point both break, because each
+# gram is formed from uncentred data.  These cases reproduce the known
+# defects; each is a strict expected failure until the grams are formed
+# from data centred across subjects, and then only its mark goes.
+
+_cancellation = pytest.mark.xfail(
+    strict=True, reason="grams are formed from uncentred data, so digits cancel")
+
+_UNIT = np.random.default_rng(3).standard_normal((12, 8, 6))
+
+
+@_cancellation
+@pytest.mark.parametrize("scale", [2.0 ** -300, 1e-100, 1e100, 2.0 ** 300],
+                         ids=["2^-300", "1e-100", "1e100", "2^300"])
+def test_z_does_not_depend_on_the_scale_of_the_data(scale):
+    part = GroupPartition.from_sizes((3, 3))
+    base = mean_matrix_test(DataStack(_UNIT), part)
+    scaled = mean_matrix_test(DataStack(_UNIT * scale), part)
+    assert scaled.failure is None
+    assert scaled.statistic == pytest.approx(base.statistic, rel=1e-9)
+
+
+@_cancellation
+def test_known_matrix_trace_does_not_see_a_far_m0():
+    m0 = np.zeros((8, 6))
+    base = known_matrix_test(DataStack(_UNIT), m0)
+    far = known_matrix_test(DataStack(_UNIT + 1e4), m0)
+    assert far.trace_cov_sq == pytest.approx(base.trace_cov_sq, rel=1e-9)
+
+
+@_cancellation
+def test_partition_trace_does_not_see_a_column_effect():
+    part = GroupPartition.from_sizes((6,))
+    base = mean_matrix_test(DataStack(_UNIT), part)
+    effect = mean_matrix_test(DataStack(_UNIT + 1e4 * np.arange(6)), part)
+    assert effect.trace_cov_sq == pytest.approx(base.trace_cov_sq, rel=1e-9)
+
+
+@_cancellation
+def test_chen_qin_z_does_not_see_a_common_shift():
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((10, 50)), rng.standard_normal((10, 50))
+    base = chen_qin_two_sample(x, y)
+    shifted = chen_qin_two_sample(x + 1e4, y + 1e4)
+    assert shifted.statistic == pytest.approx(base.statistic, rel=1e-9)
+
+
+@_cancellation
+def test_identical_subjects_fail_for_every_seed():
+    # no variance at all: the trace estimate is exactly 0 in exact arithmetic
+    part = GroupPartition.from_sizes((2, 2))
+    reported = []
+    for seed in range(200):
+        m = np.random.default_rng(seed).standard_normal((5, 4))
+        res = mean_matrix_test(DataStack(np.stack([m] * 6)), part)
+        if res.failure is None:
+            reported.append(seed)
+    assert reported == []

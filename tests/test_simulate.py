@@ -39,13 +39,22 @@ from matmean.simulate import (
 # covariance builders
 
 
+def _applied(root, z):
+    """``root`` applied to a copy of ``z``, in scratch arrays of its own."""
+    return root.apply(z.copy(), [np.empty(z.size) for _ in range(root.scratch_count)])
+
+
+def _noise(scenario, shape, rng):
+    return simulate._noise_batch(scenario, rng, np.empty(shape))
+
+
 def test_ar1_root_multiplies_back():
     f = Ar1Factor(3, 0.5)
     target = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
     assert np.allclose(f.build(), target, atol=1e-12)
     # Identity column factor and identity input expose the row root itself.
     cov = KroneckerCovariance(f, DenseFactor(np.eye(3)))
-    root = sqrt_factor(cov, 3, 3).apply(np.eye(3)[None, :, :])[0]
+    root = _applied(sqrt_factor(cov, 3, 3), np.eye(3)[None, :, :])[0]
     assert np.allclose(root @ root, target, atol=1e-10)
 
 
@@ -54,7 +63,7 @@ def test_compound_factor_form():
     expected = 0.5 * (np.eye(4) + np.ones((4, 4)))
     assert np.allclose(f.build(), expected, atol=1e-12)
     cov = KroneckerCovariance(DenseFactor(np.eye(4)), f)
-    root = sqrt_factor(cov, 4, 4).apply(np.eye(4)[None, :, :])[0]
+    root = _applied(sqrt_factor(cov, 4, 4), np.eye(4)[None, :, :])[0]
     assert np.allclose(root @ root, expected, atol=1e-10)
 
 
@@ -82,7 +91,7 @@ def test_identity_covariance_is_a_noop():
     cov = IdentityCovariance()
     root = cov.root(5, 3)
     z = rng.standard_normal((4, 5, 3))
-    assert np.array_equal(root.apply(z), z)
+    assert np.array_equal(_applied(root, z), z)
 
 
 def test_compound_covariance_materialize_and_root_agree():
@@ -95,7 +104,7 @@ def test_compound_covariance_materialize_and_root_agree():
     evals, evecs = np.linalg.eigh(dense)
     dense_root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
     z = rng.standard_normal((6, r, c))
-    fast = cov.root(r, c).apply(z)
+    fast = _applied(cov.root(r, c), z)
     for i in range(6):
         direct = (dense_root @ z[i].ravel(order="F")).reshape((c, r)).T
         assert np.allclose(fast[i], direct, atol=1e-10)
@@ -111,7 +120,7 @@ def test_block_diagonal_root_matches_dense_root():
     evals, evecs = np.linalg.eigh(dense)
     dense_root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
     z = rng.standard_normal((5, r, c))
-    fast = cov.root(r, c).apply(z)
+    fast = _applied(cov.root(r, c), z)
     for i in range(5):
         direct = (dense_root @ z[i].ravel(order="F")).reshape((c, r)).T
         assert np.allclose(fast[i], direct, atol=1e-10)
@@ -135,7 +144,7 @@ def test_block_diagonal_takes_one_root_per_factor_object(monkeypatch):
         (Ar1Factor(r, 0.5), Ar1Factor(r, 0.5), Ar1Factor(r, 0.4), Ar1Factor(r, 0.4))).root(r, c)
     assert len(labels) == 6
     z = np.random.default_rng(75).standard_normal((3, r, c))
-    assert np.array_equal(shared.apply(z), equal.apply(z))
+    assert np.array_equal(_applied(shared, z), _applied(equal, z))
 
 
 def test_kronecker_sample_covariance_monte_carlo():
@@ -146,7 +155,7 @@ def test_kronecker_sample_covariance_monte_carlo():
     target = np.kron(CompoundFactor(c).build(), Ar1Factor(r, 0.6).build())
     root = cov.root(r, c)
     z = rng.standard_normal((reps, r, c))
-    x = root.apply(z)
+    x = _applied(root, z)
     flat = x.reshape(reps, -1, order="F") if False else np.array(
         [x[i].ravel(order="F") for i in range(reps)]
     )
@@ -163,7 +172,7 @@ def test_kronecker_identity_agreement():
     cov = KroneckerCovariance(Ar1Factor(4, 0.0), CompoundFactor(3))
     ident_col = KroneckerCovariance(Ar1Factor(4, 0.0), DenseFactor(np.eye(3)))
     z = rng.standard_normal((2, 4, 3))
-    assert np.allclose(ident_col.root(4, 3).apply(z), z, atol=1e-10)
+    assert np.allclose(_applied(ident_col.root(4, 3), z), z, atol=1e-10)
     assert cov.materialize(4, 3) == pytest.approx(
         np.kron(0.5 * (np.eye(3) + np.ones((3, 3))), np.eye(4)), abs=1e-10
     )
@@ -209,6 +218,25 @@ def test_covariance_dict_round_trips():
         assert json.dumps(_spec_from_dict(family, json.loads(text)).to_dict()) == text
 
 
+@pytest.mark.parametrize("covariance", [
+    IdentityCovariance(),
+    KroneckerCovariance(Ar1Factor(3, 0.5), CompoundFactor(4)),
+    BlockDiagonalCovariance((Ar1Factor(3, 0.3), CompoundFactor(3), Ar1Factor(3, 0.3),
+                             Ar1Factor(3, -0.4))),
+    DenseCovariance(KroneckerCovariance(Ar1Factor(3, 0.6), Ar1Factor(4, 0.2)).materialize(3, 4)),
+    CompoundCovariance(rho=0.2),
+], ids=lambda cov: cov.to_dict()["kind"])
+def test_root_times_its_transpose_is_the_materialized_covariance(covariance):
+    # subject k of the unit basis is unvec(e_k), so vec of subject k of
+    # the output is column k of the root R
+    r, c = 3, 4
+    d = r * c
+    basis = np.eye(d).reshape(d, c, r).transpose(0, 2, 1)
+    out = _applied(sqrt_factor(covariance, r, c), basis)
+    root = out.transpose(0, 2, 1).reshape(d, d).T
+    assert np.allclose(root @ root.T, covariance.materialize(r, c), rtol=0, atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # noise scenarios
 
@@ -224,7 +252,7 @@ def test_scenario_moments_standardized(tag):
     rng = np.random.default_rng(76)
     scenario = NoiseScenario(tag)
     z = np.concatenate(
-        [simulate._noise_batch(scenario, 1, 100, 10, rng)[0].ravel() for _ in range(100)]
+        [_noise(scenario, (1, 100, 10), rng)[0].ravel() for _ in range(100)]
     )  # 1e5 entries
     n = z.size
     assert n == 100_000
@@ -238,7 +266,7 @@ def test_scenario_moments_standardized(tag):
 def test_gamma_scenario_skewness():
     # shape-4 gamma standardized: skewness 2/sqrt(4) = 1
     rng = np.random.default_rng(77)
-    z = simulate._noise_batch(NoiseScenario("gamma"), 1, 1000, 1000, rng)[0].ravel()
+    z = _noise(NoiseScenario("gamma"), (1, 1000, 1000), rng)[0].ravel()
     skew = ((z - z.mean()) ** 3).mean() / z.std() ** 3
     assert skew == pytest.approx(1.0, abs=0.02)
     assert z.min() >= -2.0  # support is bounded below at -mean/sd = -2
@@ -246,7 +274,7 @@ def test_gamma_scenario_skewness():
 
 def test_normal_scenario_excess_kurtosis():
     rng = np.random.default_rng(78)
-    z = simulate._noise_batch(NoiseScenario("normal"), 1, 1000, 100, rng)[0].ravel()
+    z = _noise(NoiseScenario("normal"), (1, 1000, 100), rng)[0].ravel()
     kurt = ((z - z.mean()) ** 4).mean() / z.var() ** 2 - 3.0
     se = np.sqrt(24.0 / z.size)
     assert abs(kurt) <= 4 * se
@@ -258,7 +286,7 @@ def test_mixture_splits_rows_at_half():
     r = 101
     mixture = NoiseScenario("mixture")
     z = np.concatenate(
-        [simulate._noise_batch(mixture, 1, r, 40, rng)[0] for _ in range(60)], axis=1
+        [_noise(mixture, (1, r, 40), rng)[0] for _ in range(60)], axis=1
     )
     top, bottom = z[: r // 2].ravel(), z[r // 2 :].ravel()
     skew = lambda v: ((v - v.mean()) ** 3).mean() / v.std() ** 3
@@ -278,15 +306,15 @@ def test_noise_batch_matches_whole_array_draws(tag):
         (ref.gamma(4.0, 2.0, size=(n, r - top, c)) - 8.0) / 4.0,
     ], axis=1)
     rng = replicate_rng(4, 2)
-    got = simulate._noise_batch(NoiseScenario(tag), n, r, c, rng)
+    got = _noise(NoiseScenario(tag), (n, r, c), rng)
     assert np.array_equal(got, want)
     assert rng.random() == ref.random()  # both streams end at the same place
 
 
 def test_noise_is_deterministic_per_seed():
     mixture = NoiseScenario("mixture")
-    a = simulate._noise_batch(mixture, 1, 30, 7, np.random.default_rng(80))[0]
-    b = simulate._noise_batch(mixture, 1, 30, 7, np.random.default_rng(80))[0]
+    a = _noise(mixture, (1, 30, 7), np.random.default_rng(80))[0]
+    b = _noise(mixture, (1, 30, 7), np.random.default_rng(80))[0]
     assert np.array_equal(a, b)
 
 
@@ -415,7 +443,7 @@ def test_gen_stack_identity_equals_noise_plus_mean():
     m = cfg.mean.build(12, 4, cfg.covariance)
     stack = gen_stack(cfg, np.random.default_rng(81))
     rng = np.random.default_rng(81)
-    z = np.stack([simulate._noise_batch(cfg.scenario, 1, 12, 4, rng)[0] for _ in range(8)])
+    z = np.stack([_noise(cfg.scenario, (1, 12, 4), rng)[0] for _ in range(8)])
     assert np.allclose(stack.values, z + m, atol=1e-12)
 
 
@@ -435,8 +463,8 @@ def test_gen_stack_returns_read_only_c_ordered_stack(covariance):
     cfg = _config(n_rows=6, covariance=covariance,
                   mean=RightBlockMean(zero_cols=2, effect_cols=2, target=0.2))
     stack = gen_stack(cfg, np.random.default_rng(84))
-    z = simulate._noise_batch(cfg.scenario, 8, 6, 4, np.random.default_rng(84))
-    expected = sqrt_factor(covariance, 6, 4).apply(z) + cfg.mean.build(6, 4, covariance)
+    z = _noise(cfg.scenario, (8, 6, 4), np.random.default_rng(84))
+    expected = _applied(sqrt_factor(covariance, 6, 4), z) + cfg.mean.build(6, 4, covariance)
     assert stack.values.flags.c_contiguous and not stack.values.flags.writeable
     assert stack.values.tobytes() == np.ascontiguousarray(expected).tobytes()
 
@@ -445,14 +473,11 @@ def test_gen_stack_returns_read_only_c_ordered_stack(covariance):
 def test_root_apply_into_out_and_scratch_equals_fresh_apply(covariance):
     root = sqrt_factor(covariance, 6, 4)
     z = np.random.default_rng(86).standard_normal((8, 6, 4))
-    fresh = root.apply(z.copy())
+    fresh = _applied(root, z)
     scratch = [np.full(z.size, np.nan) for _ in range(root.scratch_count)]
-    into = np.full(z.shape, np.nan)
-    assert root.apply(z.copy(), out=into, scratch=scratch) is into
     over = z.copy()
-    assert root.apply(over, out=over, scratch=scratch) is over
-    for got in (into, over):
-        assert got.tobytes() == np.ascontiguousarray(fresh).tobytes()
+    assert root.apply(over, scratch) is over
+    assert over.tobytes() == fresh.tobytes()
 
 
 @pytest.mark.parametrize("scenario", ["normal", "gamma", "mixture"])
@@ -537,6 +562,76 @@ def test_sim_config_validation():
         _config(seed=-1)
     with pytest.raises(ValueError):
         _config(alpha=1.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: Ar1Factor(0, 0.5), "factor dimension must be positive",
+                 id="factor-dim"),
+    pytest.param(lambda: Ar1Factor(3, 1.0), "ar1 rho must lie in (-1, 1), got 1.0",
+                 id="ar1-rho"),
+    pytest.param(lambda: DenseFactor(np.ones((2, 3))),
+                 "dense factor must be square, got shape (2, 3)", id="dense-factor-square"),
+    pytest.param(lambda: KroneckerCovariance(Ar1Factor(3, 0.5), CompoundFactor(2)).root(4, 2),
+                 "kronecker factors are 3 x 2, data is 4 x 2", id="kronecker-dims"),
+    pytest.param(lambda: BlockDiagonalCovariance(()),
+                 "block-diagonal covariance needs at least one block", id="no-blocks"),
+    pytest.param(lambda: DenseCovariance(np.ones((2, 3))),
+                 "dense covariance must be square, got (2, 3)", id="dense-square"),
+    # a broadcast view: the check reads the shape and allocates nothing
+    pytest.param(lambda: DenseCovariance(np.broadcast_to(0.0, (2049, 2049))),
+                 "dense covariance of dimension 2049 exceeds the supported maximum 2048",
+                 id="dense-too-large"),
+    pytest.param(lambda: DenseCovariance(np.array([[1.0, 0.5], [0.0, 1.0]])),
+                 "dense covariance must be symmetric", id="dense-asymmetric"),
+    pytest.param(lambda: DenseCovariance(np.eye(4)).root(3, 2),
+                 "dense covariance has dimension 4, expected r*c = 6", id="dense-dims"),
+    pytest.param(lambda: IdentityCovariance().materialize(50, 50),
+                 "refusing to materialize a 2500 x 2500 covariance (limit 2048); "
+                 "use a structured spec instead", id="materialize-too-large"),
+    pytest.param(lambda: RightBlockMean(zero_cols=-1, effect_cols=2, target=0.1),
+                 "right-block mean needs effect_cols >= 1, zero_cols >= 0",
+                 id="right-block-zero-cols"),
+    pytest.param(lambda: RightBlockMean(zero_cols=2, effect_cols=0, target=0.1),
+                 "right-block mean needs effect_cols >= 1, zero_cols >= 0",
+                 id="right-block-effect-cols"),
+    pytest.param(lambda: RightBlockMean(zero_cols=2, effect_cols=2, target=0.0),
+                 "calibration target must be positive", id="right-block-target"),
+    pytest.param(lambda: RightBlockMean(zero_cols=2, effect_cols=2, target=0.1).build(6, 5, None),
+                 "right-block widths 2+2 != c = 5", id="right-block-widths"),
+    pytest.param(lambda: RightBlockMean(2, 2, 0.1, denominator="trace").build(6, 4, None),
+                 "denominator must be one of ('dims', 'sigma'), got 'trace'",
+                 id="bad-denominator"),
+    pytest.param(lambda: RightBlockMean(2, 2, 0.1, denominator="sigma").build(
+                     6, 4, IdentityCovariance()),
+                 "sigma-normalized calibration needs a kronecker covariance",
+                 id="sigma-needs-kronecker"),
+    pytest.param(lambda: SparseMean(zero_fraction=0.5, allocation="random", target=0.1),
+                 "allocation must be 'equal' or 'linear', got 'random'", id="sparse-allocation"),
+    pytest.param(lambda: SparseMean(zero_fraction=0.5, allocation="equal", target=-1.0),
+                 "calibration target must be positive", id="sparse-target"),
+    pytest.param(lambda: SparseMean(0.5, "equal", 0.1, effect_cols=0),
+                 "sparse mean needs at least one effect column", id="sparse-effect-cols"),
+    pytest.param(lambda: SparseMean(0.5, "equal", 0.1, effect_cols=4).build(6, 4, None),
+                 "sparse mean needs effect_cols < c, got 4 >= 4", id="sparse-effect-width"),
+    pytest.param(lambda: SparseMean(0.5, "equal", 0.1).build(0, 4, None),
+                 "sparse mean has no nonzero entries to calibrate", id="sparse-no-rows"),
+    pytest.param(lambda: MultiplicativeMean(1.15).build(5, 1, None),
+                 "multiplicative split needs c >= 2, got c = 1", id="multiplicative-split"),
+    pytest.param(lambda: _config(n_rows=0), "dimensions must be positive", id="config-dims"),
+    pytest.param(lambda: _config(methods=()), "at least one method is required",
+                 id="config-no-methods"),
+    pytest.param(lambda: simulate._worker_count(0), "worker count must be positive, got 0",
+                 id="zero-workers"),
+    pytest.param(lambda: monte_carlo(_config(n_cols=1, partition=GroupPartition((1,)),
+                                             methods=("anova",))),
+                 "column-wise baselines need at least 2 columns", id="mc-one-column"),
+    pytest.param(lambda: monte_carlo(_config(n_subjects=3)),
+                 "proposed and cq methods need at least 4 subjects", id="mc-three-subjects"),
+])
+def test_invalid_spec_or_run_is_refused_with_its_message(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_sim_config_outcome_names():
