@@ -52,8 +52,8 @@ __all__ = [
 # page-faulted and unmapped on every call, and it stays in cache.
 _KW_BLOCK_VALUES = 12_800
 
-# rows whose within-group sum of squares falls below this relative
-# level are degenerate: they get p = 1 rather than an F tail
+# rows whose within-group sum of squares is at most this share of their
+# total sum of squares are degenerate: they get p = 1 rather than an F tail
 _DEGENERATE_RTOL = 1e-10
 
 
@@ -81,8 +81,13 @@ def anova_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
 
     For each of the r rows, the N values in every column are pooled by
     the column's group, giving N*c_q replicates per group, and a
-    standard one-way ANOVA is run across the g groups.  Returns one
-    p-value per row; rows with no within-group variation get p = 1.
+    standard one-way ANOVA is run across the g groups.  The sums of
+    squares are taken from each row's residuals about its mean, so a
+    shift of a row and a scaling of the data leave p unchanged up to
+    rounding.  Returns one p-value per row.  A row whose within-group
+    sum of squares is at most ``_DEGENERATE_RTOL`` times its total sum
+    of squares gets p = 1: a constant row, and also a row whose groups
+    are each constant but differ, whose F is infinite.
     """
     from scipy.special import fdtrc
 
@@ -93,23 +98,19 @@ def anova_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
     counts = n * np.asarray(partition.sizes, dtype=float)
     n_tot = n * c
 
-    col_sum = vals.sum(axis=0)
-    col_sumsq = (vals * vals).sum(axis=0)
-    group_sum = col_sum @ indicator
-    fitted = (group_sum * group_sum / counts).sum(axis=1)
-    total = col_sum.sum(axis=1)
-    total_sq = col_sumsq.sum(axis=1)
-    ss_between = fitted - total * total / n_tot
-    ss_within = total_sq - fitted
+    resid = vals - vals.mean(axis=(0, 2), keepdims=True)
+    ss_total = np.einsum("irc,irc->r", resid, resid)
+    group_sum = resid.sum(axis=0) @ indicator
+    ss_between = (group_sum * group_sum / counts).sum(axis=1)
+    ss_within = ss_total - ss_between
 
-    scale = np.maximum(total_sq, 1.0)
-    degenerate = ss_within <= _DEGENERATE_RTOL * scale
+    degenerate = ss_within <= _DEGENERATE_RTOL * ss_total
     df1, df2 = g - 1, n_tot - g
     p = np.ones(r)
     live = ~degenerate
     if live.any():
         f = (ss_between[live] / df1) / (ss_within[live] / df2)
-        p[live] = fdtrc(df1, df2, np.maximum(f, 0.0))
+        p[live] = fdtrc(df1, df2, f)
     return p
 
 

@@ -4,9 +4,13 @@ Four subcommands: ``test`` runs one mean-structure test on a data file,
 ``screen`` runs the test per named row subset and adjusts the p-values,
 ``simulate`` drives the Monte Carlo harness (canned presets or a config
 file), and ``discover`` applies the sequential strategy for finding a
-column grouping.  Every command prints a schema-versioned JSON report to
-stdout; a rejected hypothesis is an ordinary result, so the exit status is
-0 for any completed run and nonzero only for operational failures.
+column grouping.  Each ``cmd_*`` returns its report, its CSV text (None
+if it has none) and its failure (None if it has none); ``main`` alone
+writes them.  It prints the schema-versioned JSON report to stdout, then
+writes the CSV if a path was given, then, on a failure or an operational
+error, one ``error:`` line to stderr.  A rejected hypothesis is an
+ordinary result, so the exit status is 0 for any completed run and 1 only
+for operational failures.
 """
 
 from __future__ import annotations
@@ -43,33 +47,14 @@ class CliError(ValueError):
 
 
 def _jsonable(obj):
-    """Convert to plain JSON types; non-finite floats become null."""
+    """``obj`` with every non-finite float, at any depth, replaced by None."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return f if math.isfinite(f) else None
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
-
-
-def _print_report(report: dict) -> None:
-    payload = _jsonable(report)
-    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
-
-
-def _envelope(command: str, alpha: float, warnings: list[str]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "alpha": alpha,
-        "warnings": warnings,
-    }
 
 
 def _data_block(loaded: LoadedStack, path: str, orientation: str) -> dict:
@@ -91,18 +76,6 @@ def _data_block(loaded: LoadedStack, path: str, orientation: str) -> dict:
     return block
 
 
-def _result_block(result, unit_ids=None) -> dict:
-    d = result.to_dict()
-    if unit_ids is not None:
-        d["dropped_columns"] = [unit_ids[k] for k in result.dropped_columns]
-    return d
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -111,6 +84,12 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then one line per row; a non-finite value is empty."""
+    return "".join(",".join(_csv_cell(_jsonable(v)) for v in line) + "\n"
+                   for line in (header, *rows))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +149,7 @@ def parse_partition_spec(text: str, unit_ids: tuple[str, ...]) -> GroupPartition
 # test
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> tuple[dict, str | None, str | None]:
     modes = [args.partition is not None, args.m0 is not None,
              args.known_difference is not None]
     if sum(modes) != 1:
@@ -185,8 +164,8 @@ def cmd_test(args) -> int:
     # every mode tests the columns of the stack in testing orientation
     stack = loaded.stack.transposed() if rows else loaded.stack
     warnings: list[str] = []
-    report = _envelope("test", args.alpha, warnings)
-    report["data"] = _data_block(loaded, args.data, args.orientation)
+    report = {"alpha": args.alpha, "warnings": warnings,
+              "data": _data_block(loaded, args.data, args.orientation)}
 
     if args.partition is not None:
         partition = parse_partition_spec(args.partition, unit_ids)
@@ -223,26 +202,19 @@ def cmd_test(args) -> int:
         report["hypothesis"] = {"mode": "known_difference", "mu0": mu0_echo}
     result = dataclasses.replace(result, orientation=args.orientation)
 
-    report["result"] = _result_block(result, unit_ids)
-    _print_report(report)
-    if args.csv:
-        keys = ("statistic", "p_value", "reject", "alpha", "n_used", "r_used",
-                "c_used", "failure")
-        row = _result_block(result, unit_ids)
-        lines = [",".join(keys),
-                 ",".join(_csv_cell(_jsonable(row[k])) for k in keys)]
-        _write_text(args.csv, "\n".join(lines) + "\n")
-    if result.failure:
-        sys.stderr.write(f"error: {result.failure}\n")
-        return 1
-    return 0
+    row = result.to_dict()
+    row["dropped_columns"] = [unit_ids[k] for k in result.dropped_columns]
+    report["result"] = row
+    keys = ("statistic", "p_value", "reject", "alpha", "n_used", "r_used", "c_used",
+            "failure")
+    return report, _csv(keys, [[row[k] for k in keys]]), result.failure
 
 
 # ---------------------------------------------------------------------------
 # screen
 
 
-def cmd_screen(args) -> int:
+def cmd_screen(args) -> tuple[dict, str | None, str | None]:
     loaded = load_stack(args.data)
     stack = loaded.stack
     partition = parse_partition_spec(args.partition, loaded.col_ids)
@@ -292,48 +264,33 @@ def cmd_screen(args) -> int:
     if skipped:
         warnings.append(f"{len(skipped)} set(s) below the minimum size were skipped")
 
-    report = _envelope("screen", args.alpha, warnings)
-    report["data"] = _data_block(loaded, args.data, "columns")
-    report["partition"] = partition.to_dict()
-    report["correction"] = args.correction
-    report["min_set_size"] = args.min_set_size
-    report["sets"] = entries
-    report["skipped"] = skipped
-    report["n_rejected"] = sum(1 for e in entries if e["reject"])
-    _print_report(report)
-
-    if args.csv:
-        keys = ("name", "n_rows", "statistic", "p_value", "p_adjusted", "reject")
-        lines = ["set," + ",".join(keys[1:])]
-        for e in entries:
-            lines.append(",".join(_csv_cell(_jsonable(e[k])) for k in keys))
-        _write_text(args.csv, "\n".join(lines) + "\n")
-
-    if n_failed == len(results):
-        sys.stderr.write("error: no row set produced a usable test result\n")
-        return 1
-    return 0
+    report = {"alpha": args.alpha, "warnings": warnings,
+              "data": _data_block(loaded, args.data, "columns"),
+              "partition": partition.to_dict(), "correction": args.correction,
+              "min_set_size": args.min_set_size, "sets": entries, "skipped": skipped,
+              "n_rejected": sum(1 for e in entries if e["reject"])}
+    keys = ("name", "n_rows", "statistic", "p_value", "p_adjusted", "reject")
+    csv_text = _csv(("set",) + keys[1:], [[e[k] for k in keys] for e in entries])
+    failure = ("no row set produced a usable test result"
+               if n_failed == len(results) else None)
+    return report, csv_text, failure
 
 
 # ---------------------------------------------------------------------------
 # discover
 
 
-def cmd_discover(args) -> int:
+def cmd_discover(args) -> tuple[dict, str | None, str | None]:
     loaded = load_stack(args.data)
     trace = discover_structure(loaded.stack, alpha=args.alpha)
-    report = _envelope("discover", args.alpha, [])
-    report["data"] = _data_block(loaded, args.data, "columns")
-    report["steps"] = {k: trace[k] for k in ("overall", "pairs", "grouping", "final")}
-    report["conclusion"] = trace["conclusion"]
-    _print_report(report)
-    failure = trace["overall"].get("failure") or (
-        trace["final"].get("failure") if trace["final"] else None
+    report = {"alpha": args.alpha, "warnings": [],
+              "data": _data_block(loaded, args.data, "columns"),
+              "steps": {k: trace[k] for k in ("overall", "pairs", "grouping", "final")},
+              "conclusion": trace["conclusion"]}
+    failure = trace["overall"]["failure"] or (
+        trace["final"]["failure"] if trace["final"] else None
     )
-    if failure:
-        sys.stderr.write(f"error: {failure}\n")
-        return 1
-    return 0
+    return report, None, failure
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +324,7 @@ def _preset_coordinates(cell, run) -> tuple[str, ...]:
     )
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[dict, str | None, str | None]:
     if (args.preset is None) == (args.config is None):
         raise CliError("choose exactly one of --preset or --config")
     if args.cell and args.preset is None:
@@ -407,18 +364,11 @@ def cmd_simulate(args) -> int:
                 "params": dict(cell.params),
                 "runs": runs,
             })
-        report = _envelope("simulate", 0.05, [])
-        report["mode"] = "preset"
-        report["preset"] = args.preset
-        report["cell_filter"] = args.cell
-        report["replicates"] = args.reps if args.reps else DEFAULT_REPLICATES
-        report["seed"] = seed
-        report["csv_path"] = args.out
-        report["cells"] = cell_reports
-        if args.out:
-            _write_text(args.out, "\n".join(csv_lines) + "\n")
-        _print_report(report)
-        return 0
+        report = {"alpha": 0.05, "warnings": [], "mode": "preset", "preset": args.preset,
+                  "cell_filter": args.cell,
+                  "replicates": args.reps if args.reps else DEFAULT_REPLICATES,
+                  "seed": seed, "csv_path": args.csv_path, "cells": cell_reports}
+        return report, "\n".join(csv_lines) + "\n", None
 
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
@@ -436,15 +386,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     rep = cli.monte_carlo(config, workers=args.workers)
-    report = _envelope("simulate", config.alpha, [])
-    report["mode"] = "config"
-    report["config_path"] = args.config
-    report["csv_path"] = args.out
-    report["report"] = rep.to_dict()
-    if args.out:
-        _write_text(args.out, rep.to_csv())
-    _print_report(report)
-    return 0
+    report = {"alpha": config.alpha, "warnings": [], "mode": "config",
+              "config_path": args.config, "csv_path": args.csv_path, "report": rep.to_dict()}
+    return report, rep.to_csv(), None
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--orientation", choices=("columns", "rows"), default="columns",
                         help="test groups of columns (default) or of rows")
     p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--csv", help="also write the result as CSV to this path")
+    p_test.add_argument("--csv", dest="csv_path",
+                        help="also write the result as CSV to this path")
     p_test.set_defaults(func=cmd_test)
 
     p_screen = sub.add_parser("screen", help="test many row subsets and adjust p-values")
@@ -480,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_screen.add_argument("--min-set-size", type=int, default=8,
                           help="skip sets with fewer rows (default 8)")
     p_screen.add_argument("--alpha", type=float, default=0.05)
-    p_screen.add_argument("--csv")
+    p_screen.add_argument("--csv", dest="csv_path")
     p_screen.set_defaults(func=cmd_screen)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo size/power studies")
@@ -490,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int,
                        help="base seed (default: the config's seed, or 0 for presets)")
     p_sim.add_argument("--config", help="JSON config file for a single custom run")
-    p_sim.add_argument("--out", help="CSV output path")
+    p_sim.add_argument("--out", dest="csv_path", help="CSV output path")
     p_sim.add_argument("--workers", type=int,
                        help="thread count (default: MATMEAN_WORKERS or 1)")
     p_sim.set_defaults(func=cmd_simulate)
@@ -498,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_disc = sub.add_parser("discover", help="search for a column grouping")
     p_disc.add_argument("data")
     p_disc.add_argument("--alpha", type=float, default=0.05)
-    p_disc.set_defaults(func=cmd_discover)
+    p_disc.set_defaults(func=cmd_discover, csv_path=None)
 
     return parser
 
@@ -506,10 +451,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        report, csv_text, failure = args.func(args)
+        report = {"schema_version": SCHEMA_VERSION, "command": args.command, **report}
+        sys.stdout.write(json.dumps(_jsonable(report), indent=2, allow_nan=False) + "\n")
+        if args.csv_path:
+            with open(args.csv_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(csv_text)
     except (CliError, ValueError, OSError, RunAborted) as e:
-        sys.stderr.write(f"error: {e}\n")
+        failure = e
+    if failure:
+        sys.stderr.write(f"error: {failure}\n")
         return 1
+    return 0
 
 
 if __name__ == "__main__":

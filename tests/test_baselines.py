@@ -52,6 +52,48 @@ def test_anova_zero_within_variance_beats_between_variance():
     assert got[1] == 1.0
 
 
+def _anova_effect_case(seed):
+    """(10, 50, 10) unit normal data with an effect of 0.8 on 25 rows x 5 columns."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((10, 50, 10))
+    x[:, :25, 5:] += 0.8
+    return x, GroupPartition(tuple(range(1, 11))), rng
+
+
+def test_anova_p_is_invariant_to_shifting_rows():
+    # the shifted data are rounded to the shift's precision: x + 1e6 keeps
+    # about 10 of x's 16 digits, hence 1e-9
+    for seed in range(20):
+        x, part, rng = _anova_effect_case(seed)
+        base = anova_rowwise(DataStack(x), part)
+        assert base.max() < 1.0
+        per_row = rng.uniform(-1.0, 1.0, size=(1, 50, 1))
+        for shift in (1e4, 1e6):
+            for y in (x + shift, x + shift * per_row):
+                assert anova_rowwise(DataStack(y), part) == pytest.approx(base, rel=1e-9)
+
+
+def test_anova_p_is_invariant_to_scaling():
+    for seed in range(20):
+        x, part, _ = _anova_effect_case(seed)
+        base = anova_rowwise(DataStack(x), part)
+        for scale in (1e-6, 1e-100, 1e100):
+            assert anova_rowwise(DataStack(x * scale), part) == pytest.approx(base, rel=1e-12)
+
+
+def test_anova_degenerate_floor_is_relative():
+    # a constant row and a row of constant groups are degenerate at any scale
+    vals = np.random.default_rng(57).standard_normal((5, 3, 4))
+    vals[:, 1] = 0.1
+    vals[:, 2, :2], vals[:, 2, 2:] = 1.0, 5.0
+    part = GroupPartition.from_sizes((2, 2))
+    base = anova_rowwise(DataStack(vals), part)
+    assert base[0] < 1.0 and (base[1:] == 1.0).all()
+    for scale in (1e-12, 1e12):
+        got = anova_rowwise(DataStack(vals * scale), part)
+        assert got[0] == pytest.approx(base[0], rel=1e-12) and (got[1:] == 1.0).all()
+
+
 def test_kruskal_matches_scipy_rowwise():
     rng = np.random.default_rng(54)
     stack = DataStack(rng.standard_normal((6, 8, 6)))
@@ -95,18 +137,16 @@ def _anova_reference(stack, partition):
     """Row-wise F test with the scipy.stats tail, term by term as anova_rowwise."""
     n, r, c, indicator, counts = _rowwise_layout(stack, partition)
     vals, g, n_tot = stack.values, partition.n_groups, n * c
-    col_sum = vals.sum(axis=0)
-    group_sum = col_sum @ indicator
-    fitted = (group_sum * group_sum / counts).sum(axis=1)
-    total = col_sum.sum(axis=1)
-    total_sq = (vals * vals).sum(axis=0).sum(axis=1)
-    ss_between = fitted - total * total / n_tot
-    ss_within = total_sq - fitted
-    degenerate = ss_within <= 1e-10 * np.maximum(total_sq, 1.0)
+    resid = vals - vals.mean(axis=(0, 2), keepdims=True)
+    ss_total = np.einsum("irc,irc->r", resid, resid)
+    group_sum = resid.sum(axis=0) @ indicator
+    ss_between = (group_sum * group_sum / counts).sum(axis=1)
+    ss_within = ss_total - ss_between
+    degenerate = ss_within <= 1e-10 * ss_total
     live = ~degenerate
     f = (ss_between[live] / (g - 1)) / (ss_within[live] / (n_tot - g))
     p = np.ones(r)
-    p[live] = stats.f.sf(np.maximum(f, 0.0), g - 1, n_tot - g)
+    p[live] = stats.f.sf(f, g - 1, n_tot - g)
     return p, tuple(np.flatnonzero(degenerate).tolist())
 
 

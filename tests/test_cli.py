@@ -3,6 +3,7 @@
 import importlib.resources as resources
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -799,6 +800,72 @@ def test_simulate_csv_identical_across_worker_counts(tmp_path, capsys):
         texts.append(out.read_text())
     assert texts[0] == texts[1]
     assert len(texts[0].splitlines()) == 4  # header plus three partition runs
+
+
+def test_simulate_anova_counts_do_not_move_under_a_common_shift(tmp_path, capsys):
+    # a multiplicative mean [base J | (base + 1) J]: raising base moves every
+    # value by one shift, which leaves each row's ANOVA unchanged
+    def csv(base):
+        config = tmp_path / "shift.json"
+        config.write_text(json.dumps({
+            "n_subjects": 10, "n_rows": 50, "n_cols": 10, "scenario": "normal",
+            "covariance": {"kind": "identity"},
+            "mean": {"kind": "multiplicative", "t": base + 1.0, "base": base},
+            "partition": [1] * 10, "replicates": 100, "seed": 4, "methods": ["anova"],
+        }))
+        out = tmp_path / "out.csv"
+        assert _run(["simulate", "--config", str(config), "--out", str(out)], capsys)[0] == 0
+        return out.read_text()
+
+    at_one = csv(1.0)
+    assert "anova_fdr,100,100,0," in at_one
+    assert csv(1e6) == at_one
+
+
+# ---------------------------------------------------------------------------
+# output contract: main prints the report, then writes the CSV, then the error
+
+
+def _contract_argv(tmp_path, kind):
+    """The command line of one output mode, and its CSV flag (None without one)."""
+    data = tmp_path / "effect.tsv"
+    _effect_file(data)
+    if kind == "test":
+        return ["test", str(data), "--partition", "sizes=3,3"], "--csv"
+    if kind == "screen":
+        data, sets = _screen_fixture(tmp_path)
+        return ["screen", str(data), "--sets", str(sets), "--partition", "sizes=3,3"], "--csv"
+    if kind == "discover":
+        return ["discover", str(data)], None
+    if kind == "simulate-preset":
+        return ["simulate", "--preset", "table1", "--cell", "r=100,N=10",
+                "--reps", "100"], "--out"
+    config = _method_config(tmp_path / "cfg.json", ("proposed", "anova"))
+    return ["simulate", "--config", str(config)], "--out"
+
+
+def _without_run_facts(report):
+    """The report without its CSV path and with every elapsed time masked."""
+    text = json.dumps({k: v for k, v in report.items() if k != "csv_path"})
+    return re.sub(r'"elapsed_seconds": [^,}]+', '"elapsed_seconds": 0', text)
+
+
+@pytest.mark.parametrize(
+    "kind", ["test", "screen", "discover", "simulate-preset", "simulate-config"])
+def test_report_comes_first_and_an_unwritable_csv_is_one_error_line(tmp_path, capsys, kind):
+    argv, flag = _contract_argv(tmp_path, kind)
+    csv = tmp_path / "out.csv"
+    code, report, err = _run(argv + ([flag, str(csv)] if flag else []), capsys)
+    assert code == 0 and err == ""
+    assert list(report)[:4] == ["schema_version", "command", "alpha", "warnings"]
+    assert report["command"] == argv[0]
+    assert csv.exists() == (flag is not None)
+    if kind in ("discover", "simulate-preset"):
+        return
+    code, partial, err = _run(argv + [flag, str(tmp_path / "missing" / "out.csv")], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "missing" in err
+    assert _without_run_facts(partial) == _without_run_facts(report)
 
 
 def _run_fresh(script):

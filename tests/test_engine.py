@@ -479,6 +479,33 @@ def test_screen_row_sets_is_invariant_to_permuting_subjects():
             assert got.statistic == pytest.approx(want.statistic, rel=1e-12)
 
 
+def _pair_p_values(trace, relabel=range(6)):
+    """{(col, col): p_value} of the pair step, columns renamed by ``relabel``."""
+    return {tuple(sorted(relabel[k] for k in e["cols"])): e["p_value"]
+            for e in trace["pairs"] or ()}
+
+
+def test_discover_structure_is_invariant_to_permuting_subjects_rows_and_columns():
+    # the pair step's p-values are tails like the pairwise scan's, hence 1e-11
+    conclusions = set()
+    for seed in range(200):
+        x, _, _, (s, a, b) = _relabel_case(seed)
+        base = discover_structure(DataStack(x))
+        conclusions.add(base["conclusion"])
+        for y in (x[s], x[:, a]):
+            got = discover_structure(DataStack(y))
+            assert got["conclusion"] == base["conclusion"]
+            assert got["grouping"] == base["grouping"]
+            assert got["overall"]["p_value"] == pytest.approx(base["overall"]["p_value"],
+                                                              rel=1e-11)
+            assert _pair_p_values(got) == pytest.approx(_pair_p_values(base), rel=1e-11)
+        # column k of x[:, :, b] is column b[k] of x
+        got = discover_structure(DataStack(x[:, :, b]))
+        assert got["conclusion"] == base["conclusion"]
+        assert _pair_p_values(got, relabel=b) == pytest.approx(_pair_p_values(base), rel=1e-11)
+    assert len(conclusions) > 1
+
+
 def test_rows_orientation_is_the_columns_test_of_the_transpose_bit_for_bit():
     for seed in range(200):
         x, part, _, _ = _relabel_case(seed)
