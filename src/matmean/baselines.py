@@ -108,9 +108,7 @@ def anova_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
     df1, df2 = g - 1, n_tot - g
     p = np.ones(r)
     live = ~degenerate
-    if live.any():
-        f = (ss_between[live] / df1) / (ss_within[live] / df2)
-        p[live] = fdtrc(df1, df2, f)
+    p[live] = fdtrc(df1, df2, (ss_between[live] / df1) / (ss_within[live] / df2))
     return p
 
 
@@ -186,8 +184,7 @@ def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
 
     p = np.ones(r)
     live = ~all_tied
-    if live.any():
-        p[live] = chdtrc(g - 1, np.maximum(h[live] / correction[live], 0.0))
+    p[live] = chdtrc(g - 1, np.maximum(h[live] / correction[live], 0.0))
     return p
 
 

@@ -351,14 +351,9 @@ def cmd_simulate(args) -> tuple[dict, str | None, str | None]:
             for run in cell.runs:
                 rep = cli.monte_carlo(run.config, workers=args.workers)
                 csv_lines.extend(rep.csv_rows(*_preset_coordinates(cell, run)))
-                runs.append({
-                    "kind": run.kind,
-                    "partition": run.partition_label,
-                    "seed": run.config.seed,
-                    "replicates": rep.replicates,
-                    "elapsed_seconds": rep.elapsed_seconds,
-                    "outcomes": [o.to_dict() for o in rep.outcomes],
-                })
+                runs.append({"kind": run.kind, "partition": run.partition_label,
+                             "seed": run.config.seed, **rep.to_dict()})
+                del runs[-1]["config"]
             cell_reports.append({
                 "preset": cell.preset,
                 "params": dict(cell.params),
@@ -436,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="base seed (default: the config's seed, or 0 for presets)")
     p_sim.add_argument("--config", help="JSON config file for a single custom run")
     p_sim.add_argument("--out", dest="csv_path", help="CSV output path")
-    p_sim.add_argument("--workers", type=int,
-                       help="thread count (default: MATMEAN_WORKERS or 1)")
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="thread count (default 1); the results do not depend on it")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_disc = sub.add_parser("discover", help="search for a column grouping")

@@ -17,12 +17,14 @@ value lines additionally accept runs of spaces.  Values are written with
 Every reader takes its lines from one source, ``_chunks``.  It reads the
 text in chunks of ``_CHUNK_CHARS`` characters, splits each chunk at the
 line breaks of ``str.splitlines`` and carries the chunk's unfinished last
-line into the next one, so no reader holds a whole file's lines.  A block
-is one chunk's complete lines; data files and ``--m0`` matrices take its
-nonblank lines with the line number of each (``_blocks``).  A block's
-lines are joined with a separator field between them (a newline for long
-format, a NUL for stack values) and split once, on the delimiter or on
-commas and whitespace.  A line with the wrong field count moves the
+line into the next one, so no data, matrix or row-set reader holds a
+whole file's lines; ``read_vector_file`` holds its nonblank lines.  A
+leading UTF-8 byte-order mark is dropped.  A block is one chunk's
+complete lines; data files and ``--m0`` matrices take its nonblank
+lines with the line number of each (``_blocks``).  A block's lines are
+joined with a separator field between them (a newline for long format,
+a NUL for stack values) and split once, on the delimiter or on commas
+and whitespace.  A line with the wrong field count moves the
 separators out of their stride, so one list count checks every line.
 Values go through the ``float()`` of ``_parse_value``, so the bits are
 those of a line-by-line read.  A block is sized in characters so that its
@@ -86,7 +88,8 @@ def _fail(path, line_no, message):
 def _chunks(path) -> Iterator[list[str]]:
     """The lines of ``path`` as ``str.splitlines`` gives them, read in
     chunks: one list for each chunk, of the lines that chunk completes."""
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig drops one leading byte-order mark, as spreadsheet exports write
+    with open(path, encoding="utf-8-sig") as fh:
         carry: list[str] = []  # the pieces of the unfinished line, joined once it ends
         try:
             while chunk := fh.read(_CHUNK_CHARS):

@@ -20,7 +20,6 @@ the identity, one for compound symmetry, two otherwise).
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass
@@ -55,10 +54,7 @@ __all__ = [
     "stack_buffers",
     "replicate_rng",
     "monte_carlo",
-    "WORKERS_ENV_VAR",
 ]
-
-WORKERS_ENV_VAR = "MATMEAN_WORKERS"
 
 _SCENARIO_TAGS = ("normal", "gamma", "mixture")
 
@@ -130,12 +126,24 @@ def _calibration_denominator(denominator: str, r: int, c: int, sigma) -> float:
     raise ValueError(f"denominator must be one of {_DENOMINATORS}, got {denominator!r}")
 
 
-def _check_ratio(m: np.ndarray, target: float, denom: float) -> None:
+def _calibrated(spec, profile: np.ndarray, c: int, sigma) -> np.ndarray:
+    """The r x c mean whose last ``spec.effect_cols`` columns are the row
+    ``profile`` times one scale, and whose other columns are zero.
+
+    The scale makes the squared mean norm over the calibration
+    denominator equal ``spec.target``; the realized ratio is checked.
+    """
+    r = len(profile)
+    denom = _calibration_denominator(spec.denominator, r, c, sigma)
+    scale = math.sqrt(spec.target * denom / (spec.effect_cols * float(profile @ profile)))
+    m = np.zeros((r, c))
+    m[:, c - spec.effect_cols :] = (scale * profile)[:, None]
     realized = float((m * m).sum()) / denom
-    if abs(realized - target) > _CALIBRATION_TOL * max(1.0, abs(target)):
+    if abs(realized - spec.target) > _CALIBRATION_TOL * max(1.0, abs(spec.target)):
         raise ValueError(
-            f"calibration failed: realized ratio {realized!r} vs target {target!r}"
+            f"calibration failed: realized ratio {realized!r} vs target {spec.target!r}"
         )
+    return m
 
 
 @dataclass(frozen=True)
@@ -171,12 +179,7 @@ class RightBlockMean(_Record, kind="right_block"):
             raise ValueError(
                 f"right-block widths {self.zero_cols}+{self.effect_cols} != c = {c}"
             )
-        denom = _calibration_denominator(self.denominator, r, c, sigma)
-        t = math.sqrt(self.target * denom / (r * self.effect_cols))
-        m = np.zeros((r, c))
-        m[:, self.zero_cols :] = t
-        _check_ratio(m, self.target, denom)
-        return m
+        return _calibrated(self, np.ones(r), c, sigma)
 
 
 @dataclass(frozen=True)
@@ -218,20 +221,10 @@ class SparseMean(_Record, kind="sparse"):
         m_nonzero = self.nonzero_count(r)
         if m_nonzero < 1:
             raise ValueError("sparse mean has no nonzero entries to calibrate")
-        denom = _calibration_denominator(self.denominator, r, c, sigma)
-        if self.allocation == "equal":
-            shape = np.ones(m_nonzero)
-        else:
-            shape = np.arange(1, m_nonzero + 1, dtype=float)
-        scale = math.sqrt(
-            self.target * denom / (self.effect_cols * float(shape @ shape))
-        )
-        u = np.zeros(r)
-        u[r - m_nonzero :] = scale * shape
-        m = np.zeros((r, c))
-        m[:, c - self.effect_cols :] = u[:, None]
-        _check_ratio(m, self.target, denom)
-        return m
+        profile = np.zeros(r)
+        profile[r - m_nonzero :] = (1.0 if self.allocation == "equal"
+                                    else np.arange(1, m_nonzero + 1))
+        return _calibrated(self, profile, c, sigma)
 
 
 @dataclass(frozen=True)
@@ -468,15 +461,7 @@ def gen_stack(config: SimConfig, rng, *, root=None, mean=None, buffers=None) -> 
     return DataStack._owning(x)
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
-    return workers
-
-
-def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionReport:
+def monte_carlo(config: SimConfig, workers: int = 1) -> RejectionReport:
     """Rejection proportions over independent replicates.
 
     Every configured method is run on the same stack within a
@@ -535,14 +520,15 @@ def monte_carlo(config: SimConfig, workers: int | None = None) -> RejectionRepor
             failures.append(exc)
 
     started = time.perf_counter()
-    n_workers = _worker_count(workers)
+    if workers < 1:
+        raise ValueError(f"worker count must be positive, got {workers}")
     # the calling thread is worker 0 and runs replicate 0 alone, so what a
     # method loads on first use is loaded once, here; each worker builds
     # its stacks in one set of buffers
     buffers = stack_buffers(config, root)
     run_one(0, buffers)
     helpers = [threading.Thread(target=work, args=(stack_buffers(config, root),))
-               for _ in range(n_workers - 1)]
+               for _ in range(workers - 1)]
     for helper in helpers:
         helper.start()
     work(buffers)

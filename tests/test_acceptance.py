@@ -8,7 +8,6 @@ is emitted in the terminal summary; see tests/conftest.py.
 """
 
 import dataclasses
-import os
 import subprocess
 import sys
 
@@ -222,11 +221,10 @@ def test_c11_csv_bytes_identical_across_thread_counts(tmp_path):
     blobs = []
     for workers in ("1", "3"):
         out = tmp_path / f"workers_{workers}.csv"
-        env = dict(os.environ, MATMEAN_WORKERS=workers)
         cmd = [sys.executable, "-m", "matmean.cli", "simulate",
                "--preset", "table1", "--cell", "r=100,N=50",
-               "--reps", "200", "--seed", "17", "--out", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+               "--reps", "200", "--seed", "17", "--workers", workers, "--out", str(out)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())
     ok = blobs[0] == blobs[1] and len(blobs[0]) > 0

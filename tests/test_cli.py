@@ -4,6 +4,7 @@ import importlib.resources as resources
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from matmean import discover_structure, mean_matrix_test
-from matmean.cli import main, parse_partition_spec, CliError
+from matmean.cli import build_parser, main, parse_partition_spec, CliError
 from matmean.core import DataStack
 from matmean.covariance import IdentityCovariance
 from matmean.io import load_stack, write_stack_file
@@ -802,6 +803,19 @@ def test_simulate_csv_identical_across_worker_counts(tmp_path, capsys):
     assert len(texts[0].splitlines()) == 4  # header plus three partition runs
 
 
+def test_simulate_worker_count_comes_only_from_the_flag(tmp_path, monkeypatch, capsys):
+    # an exported MATMEAN_WORKERS is not read: the flag's default of 1 holds
+    import matmean.cli as cli
+
+    seen = []
+    monkeypatch.setenv("MATMEAN_WORKERS", "3")
+    monkeypatch.setattr(cli, "monte_carlo", lambda *a, real=cli.monte_carlo, **k:
+                        seen.append(k["workers"]) or real(*a, **k))
+    config = _method_config(tmp_path / "config.json", ("proposed",))
+    assert _run(["simulate", "--config", str(config)], capsys)[0] == 0
+    assert seen == [1]
+
+
 def test_simulate_anova_counts_do_not_move_under_a_common_shift(tmp_path, capsys):
     # a multiplicative mean [base J | (base + 1) J]: raising base moves every
     # value by one shift, which leaves each row's ANOVA unchanged
@@ -1030,7 +1044,7 @@ def test_every_module_star_import_resolves():
         offered[name] = namespace
     gone = {"analytic_power", "trace_ratio_diagnostic", "deviation", "z_quantile", "ndtri",
             "PValueVector", "factor_from_dict", "covariance_from_dict", "mean_from_dict",
-            "gen_noise", "rank", "param_string"}
+            "gen_noise", "rank", "param_string", "WORKERS_ENV_VAR"}
     assert {"matmean.covariance", "matmean.simulate"} <= offered.keys()
     for name, namespace in offered.items():
         assert not gone & namespace.keys(), name
@@ -1102,3 +1116,30 @@ def test_perfbench_tracer_runs_a_command(tmp_path):
         names = {span[2] for span in json.loads(spans.read_text())["spans"]}
         assert names
         assert expected <= names, expected - names
+
+
+# ---------------------------------------------------------------------------
+# documentation
+
+
+def test_documented_commands_parse_and_python_examples_run(capsys):
+    # every `matmean ...` line of the docs, its `\` continuations joined
+    # and its `#` comment dropped, must parse; every README python block runs
+    root = Path(__file__).resolve().parents[1]
+    parser = build_parser()
+    commands = []
+    for doc in ("README.md", "docs/formats.md"):
+        text = (root / doc).read_text(encoding="utf-8").replace("\\\n", " ")
+        commands += [shlex.split(line, comments=True)[1:] for line in text.splitlines()
+                     if line.startswith("matmean ")]
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the documented command does not parse: matmean {shlex.join(argv)}")
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

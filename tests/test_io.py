@@ -537,6 +537,48 @@ def test_inputs_are_read_once_so_pipes_work(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.replace(path, "VECTOR") == from_file
 
 
+_BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("chunk", [1, io._CHUNK_CHARS])
+def test_a_leading_byte_order_mark_is_ignored(tmp_path, monkeypatch, chunk):
+    # spreadsheet "CSV UTF-8" exports and some editors start a file with one
+    monkeypatch.setattr(io, "_CHUNK_CHARS", chunk)
+    values = np.arange(12.0).reshape(2, 3, 2) / 8 - 0.5
+    long_text = _LONG_HEAD + "".join(f"s{i},r{a},c{b},{float(value)!r}\n"
+                                     for (i, a, b), value in np.ndenumerate(values))
+    rows = "".join(f"{x!r}\t{y!r}\n" for x, y in values.reshape(6, 2).tolist())
+    readers = {
+        "long": (long_text, load_stack),
+        "stack": ("2 3 2\n" + rows, load_stack),
+        "m0": (rows, lambda path: read_matrix_file(path, 6, 2)),
+        "vector": ("1\n-2.5\n\n0.125\n", lambda path: read_vector_file(path, 3)),
+        # only the leading mark goes: one that starts a later line stays
+        "sets": ("apoptosis\tr0,r1\n\ufeffcycle\tr2\n", read_row_sets),
+    }
+
+    def outcome(read, path):
+        got = read(path)
+        if isinstance(got, io.LoadedStack):
+            return (got.stack.values.tobytes(), got.subject_ids, got.row_ids,
+                    got.col_ids, got.source_format)
+        return got.tobytes() if isinstance(got, np.ndarray) else got
+
+    for name, (text, read) in readers.items():
+        got = []
+        for k, data in enumerate((text.encode("utf-8"), _BOM + text.encode("utf-8"))):
+            path = tmp_path / f"{name}{k}.txt"
+            path.write_bytes(data)
+            got.append(outcome(read, str(path)))
+            with _pipe(tmp_path / f"{name}{k}.pipe", data) as pipe:
+                got.append(outcome(read, pipe))
+        assert got[1:] == got[:-1], name
+    assert got[0] == {"apoptosis": ("r0", "r1"), "\ufeffcycle": ("r2",)}
+    assert outcome(readers["long"][1], str(tmp_path / "long1.txt"))[1:] == (
+        ("s0", "s1"), ("r0", "r1", "r2"), ("c0", "c1"), "long")
+
+
 def test_nul_in_a_long_id_is_part_of_the_id(tmp_path):
     path = tmp_path / "nul_id.csv"
     path.write_bytes(b"subject_id,row_id,col_id,value\ns\0,r,c,1.5\ns\0,r,d\0,2.5\n")

@@ -620,8 +620,8 @@ def test_sim_config_validation():
     pytest.param(lambda: _config(n_rows=0), "dimensions must be positive", id="config-dims"),
     pytest.param(lambda: _config(methods=()), "at least one method is required",
                  id="config-no-methods"),
-    pytest.param(lambda: simulate._worker_count(0), "worker count must be positive, got 0",
-                 id="zero-workers"),
+    pytest.param(lambda: monte_carlo(_config(), workers=0),
+                 "worker count must be positive, got 0", id="zero-workers"),
     pytest.param(lambda: monte_carlo(_config(n_cols=1, partition=GroupPartition((1,)),
                                              methods=("anova",))),
                  "column-wise baselines need at least 2 columns", id="mc-one-column"),
