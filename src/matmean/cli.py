@@ -365,9 +365,12 @@ def cmd_simulate(args) -> tuple[dict, str | None, str | None]:
                   "seed": seed, "csv_path": args.csv_path, "cells": cell_reports}
         return report, "\n".join(csv_lines) + "\n", None
 
-    with open(args.config, "r", encoding="utf-8") as fh:
+    # read as the data files are: one leading byte-order mark is dropped
+    with open(args.config, encoding="utf-8-sig") as fh:
         try:
             raw = json.load(fh)
+        except UnicodeDecodeError:
+            raise CliError(f"{args.config}: not UTF-8 text") from None
         except json.JSONDecodeError as e:
             raise CliError(f"{args.config}: invalid JSON ({e})")
     if not isinstance(raw, dict):

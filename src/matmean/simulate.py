@@ -58,11 +58,10 @@ __all__ = [
 
 _SCENARIO_TAGS = ("normal", "gamma", "mixture")
 
-# gamma noise: shape 4, rate 1/2, standardized as (z - 8) / 4
+# gamma noise: shape 4, rate 1/2, standardized as (z - 8) / 4; with
+# z = 2 s for s = standard_gamma(4) that is (s - 4) / 2, and scaling by a
+# power of two commutes with rounding, so the two forms agree bit for bit
 _GAMMA_SHAPE = 4.0
-_GAMMA_SCALE = 2.0
-_GAMMA_MEAN = 8.0
-_GAMMA_SD = 4.0
 
 _CALIBRATION_TOL = 1e-9
 
@@ -93,12 +92,10 @@ def _noise_batch(scenario: NoiseScenario, rng, z: np.ndarray) -> np.ndarray:
     for rows in z[:, :top]:
         rng.standard_normal(out=rows)
     for rows in z[:, top:]:
-        # gamma(shape, scale) is scale * standard_gamma(shape)
         rng.standard_gamma(_GAMMA_SHAPE, out=rows)
     tail = z[:, top:]
-    tail *= _GAMMA_SCALE
-    tail -= _GAMMA_MEAN
-    tail /= _GAMMA_SD
+    tail -= _GAMMA_SHAPE
+    tail /= 2.0
     return z
 
 

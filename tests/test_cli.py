@@ -670,6 +670,26 @@ def test_simulate_bad_config_json(tmp_path, capsys):
     assert code == 1 and "invalid JSON" in err
 
 
+def test_simulate_config_is_read_as_the_data_files_are(tmp_path, capsys):
+    # one leading byte-order mark is dropped, and bytes that are not UTF-8
+    # give the data readers' line, with the path
+    plain = _method_config(tmp_path / "plain.json", ("proposed",))
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    csvs = []
+    for config in (plain, marked):
+        out = tmp_path / "out.csv"
+        assert _run(["simulate", "--config", str(config), "--out", str(out)], capsys)[0] == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"note": "café"}'.encode("latin-1"))
+    code, report, err = _run(["simulate", "--config", str(latin)], capsys)
+    assert code == 1 and report is None
+    assert err == f"error: {latin}: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("case", ["factor without rho", "no partition", "array"])
 def test_simulate_malformed_config_names_the_problem(tmp_path, capsys, case):
     raw = json.loads(_method_config(tmp_path / "good.json", ("proposed",)).read_text())
@@ -1016,10 +1036,19 @@ def test_package_names_load_their_modules_on_first_use():
     _run_fresh(
         "import sys\n"
         "import matmean\n"
+        "loaded = [m for m in sys.modules if m.startswith('matmean.') or m.split('.')[0] == 'numpy']\n"
+        "assert not loaded, loaded\n"
+        "assert set(matmean.__all__) <= set(dir(matmean))\n"
+        "assert matmean.engine is sys.modules['matmean.engine']\n"
+        "assert matmean.simulate is sys.modules['matmean.simulate']\n"
         "from matmean import monte_carlo, sqrt_factor, PRESET_NAMES\n"
         "assert 'matmean.presets' not in sys.modules\n"
         "missing = [name for name in matmean.__all__ if getattr(matmean, name, None) is None]\n"
         "assert not missing, missing\n"
+        "for name in set(matmean.__all__) - {'PRESET_NAMES'}:\n"
+        "    value = getattr(matmean, name)\n"
+        "    assert value.__module__.startswith('matmean.'), name\n"
+        "    assert value is getattr(sys.modules[value.__module__], name), name\n"
         "from matmean import covariance, presets, simulate\n"
         "assert (monte_carlo, sqrt_factor) == (simulate.monte_carlo, covariance.sqrt_factor)\n"
         "assert matmean.build_preset is presets.build_preset\n"
