@@ -226,8 +226,6 @@ def _cross_trace_estimate(cross: np.ndarray) -> np.ndarray:
     stays O(n1 * n2).  ``cross`` has shape (..., n1, n2).
     """
     n1, n2 = cross.shape[-2:]
-    if min(n1, n2) < 2:
-        raise ValueError("cross-trace estimate needs at least 2 per group")
     sq = cross * cross
     row_sum = cross.sum(axis=-1)
     col_sum = cross.sum(axis=-2)
@@ -260,10 +258,8 @@ def _cq_results(
     with np.errstate(over="ignore", invalid="ignore"):
         loc = loc_a + loc_b - 2.0 * cross.sum(axis=(-2, -1)) / (n1 * n2)
         var = var_a + var_b + 4.0 * _cross_trace_estimate(cross) / (n1 * n2)
-    return _standardize(
-        loc, var, var, dim, alpha, "plug-in variance",
-        n_used=n1 + n2, c_used=2, orientation="columns",
-    )
+    return _standardize(loc, var, var, dim, alpha, "plug-in variance",
+                        n_used=n1 + n2, c_used=2)
 
 
 def chen_qin_two_sample(group1, group2, alpha: float = 0.05) -> TestResult:

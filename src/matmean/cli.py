@@ -24,6 +24,10 @@ import sys
 import numpy as np
 
 from . import DEFAULT_REPLICATES, PRESET_NAMES
+# PEP 562: a name not defined here resolves through the package's export
+# table, so build_preset and monte_carlo load their modules on first use, and
+# only the simulate command loads them
+from . import __getattr__
 from .baselines import adjust_pvalues
 from .core import GroupPartition, RunAborted
 from .engine import (
@@ -295,18 +299,6 @@ def cmd_discover(args) -> tuple[dict, str | None, str | None]:
 
 # ---------------------------------------------------------------------------
 # simulate
-
-
-def __getattr__(name):
-    # PEP 562: the Monte Carlo entry points import their modules on first
-    # use, so only the simulate command loads them
-    if name == "build_preset":
-        from .presets import build_preset
-        return build_preset
-    if name == "monte_carlo":
-        from .simulate import monte_carlo
-        return monte_carlo
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _preset_coordinates(cell, run) -> tuple[str, ...]:

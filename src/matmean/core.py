@@ -170,6 +170,10 @@ class ProjectionMatrix:
         return out
 
 
+_ALL_SINGLETONS = ("partition needs at least one group of size >= 2; "
+                   "all groups are singletons")
+
+
 def build_projection(partition: GroupPartition) -> ProjectionMatrix:
     """Projection onto within-group column contrasts.
 
@@ -177,10 +181,7 @@ def build_projection(partition: GroupPartition) -> ProjectionMatrix:
     grouping leaves nothing to test.
     """
     if partition.max_group_size < 2:
-        raise ValueError(
-            "partition needs at least one group of size >= 2; "
-            "all groups are singletons"
-        )
+        raise ValueError(_ALL_SINGLETONS)
     return ProjectionMatrix(partition)
 
 
@@ -243,26 +244,30 @@ class DataStack:
 
 def drop_singletons(
     stack: DataStack, partition: GroupPartition
-) -> tuple[DataStack, GroupPartition]:
+) -> tuple[DataStack, GroupPartition, tuple[int, ...]]:
     """Remove columns in singleton groups; they never affect the test.
 
-    Returns the inputs unchanged (same objects) when every group has
-    size >= 2.  Remaining groups are renumbered in order of first
-    appearance.
+    The one check of a partition test's inputs: the partition must
+    cover the stack's columns and have a group of size >= 2.  Returns
+    the stack and partition without the singleton columns, and their
+    0-based indices; the inputs themselves (same objects) when every
+    group has size >= 2.  Remaining groups are renumbered in order of
+    first appearance.
     """
     if stack.n_cols != partition.n_cols:
         raise ValueError(
             f"stack has {stack.n_cols} columns but partition covers "
             f"{partition.n_cols}"
         )
-    drop = set(partition.singleton_columns())
-    if not drop:
-        return stack, partition
+    dropped = partition.singleton_columns()
+    if not dropped:
+        return stack, partition, dropped
+    if len(dropped) == partition.n_cols:
+        raise ValueError(_ALL_SINGLETONS)
+    drop = set(dropped)
     keep = [b for b in range(partition.n_cols) if b not in drop]
-    if not keep:
-        raise ValueError("all groups are singletons; nothing left to test")
     reduced = GroupPartition.from_labels(partition.assignment[b] for b in keep)
-    return stack.take_columns(keep), reduced
+    return stack.take_columns(keep), reduced, dropped
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ may vastly exceed N.  The estimators accept a batch of grams, which is
 how row-set screening and the pairwise column search score all their
 tests in one call.
 
+Every test takes its stack as given and is a test of its columns, so
+each result reports ``orientation="columns"``; a grouping of the rows is
+the same test on the transpose, ``mean_matrix_test(stack.transposed(),
+partition)``.
+
 The p-values come from ``matmean.normal``, a pure-Python port of the
 Cephes ``ndtr`` that scipy evaluates, bit for bit, so nothing in this
 module needs scipy.  A test rejects when its p-value is below alpha.
@@ -210,8 +215,8 @@ def _standardize(
         p = ndtr(-z) if ok else math.nan
         results.append(TestResult(
             statistic=z if ok else math.nan, p_value=p,
-            deviation_est=d, trace_cov_sq=t, r_used=r, alpha=alpha,
-            reject=p < alpha if ok else None, failure=failure, **common,
+            deviation_est=d, trace_cov_sq=t, r_used=r, orientation="columns",
+            alpha=alpha, reject=p < alpha if ok else None, failure=failure, **common,
         ))
     return results
 
@@ -235,51 +240,27 @@ def _gram_results(grams: np.ndarray, alpha: float, r_used, **common) -> list[Tes
     )
 
 
-def _prepared(
-    stack: DataStack, partition: GroupPartition, orientation: str
-) -> tuple[DataStack, GroupPartition, tuple[int, ...]]:
-    """Stack in testing orientation, singleton-free partition, dropped columns."""
-    if orientation not in ("columns", "rows"):
-        raise ValueError(f"orientation must be 'columns' or 'rows', got {orientation!r}")
-    work = stack.transposed() if orientation == "rows" else stack
-    if partition.n_cols != work.n_cols:
-        raise ValueError(
-            f"partition covers {partition.n_cols} columns but the "
-            f"{orientation} dimension is {work.n_cols}"
-        )
-    if partition.max_group_size < 2:
-        raise ValueError(
-            "partition needs at least one group of size >= 2; "
-            "all groups are singletons"
-        )
-    dropped = partition.singleton_columns()
-    work, partition = drop_singletons(work, partition)
-    return work, partition, dropped
-
-
 def mean_matrix_test(
     stack: DataStack,
     partition: GroupPartition,
     alpha: float = 0.05,
-    orientation: str = "columns",
 ) -> TestResult:
     """Test whether column means coincide within each group.
 
     Columns in singleton groups are removed first; they cannot move
-    the statistic and only sit outside every comparison.  Pass
-    ``orientation="rows"`` to test a grouping of the rows instead, in
-    which case the partition must cover the r rows.
+    the statistic and only sit outside every comparison.  A grouping of
+    the rows is tested as ``mean_matrix_test(stack.transposed(),
+    partition)``.
 
     Returns a TestResult; when the projected data are fully degenerate
     (for example identical subjects with group-constant columns) or
     the estimates overflow, the result carries a ``failure`` message
     instead of a statistic.
     """
-    work, partition, dropped = _prepared(stack, partition, orientation)
+    work, partition, dropped = drop_singletons(stack, partition)
     gram = compute_gram(work, build_projection(partition))
     return _gram_results(
-        gram, alpha, r_used=work.n_rows, c_used=work.n_cols,
-        orientation=orientation, dropped_columns=dropped,
+        gram, alpha, r_used=work.n_rows, c_used=work.n_cols, dropped_columns=dropped,
     )[0]
 
 
@@ -294,14 +275,14 @@ def screen_row_sets(
     Centering acts within each row, so the stack is centered once and
     every set's gram is formed from its rows of the centered data.
     """
-    work, partition, dropped = _prepared(stack, partition, "columns")
+    work, partition, dropped = drop_singletons(stack, partition)
     y = build_projection(partition).apply(work.values)
     grams = np.empty((len(row_sets), work.n_subjects, work.n_subjects))
     for k, rows in enumerate(row_sets):
         grams[k] = _gram(y[:, rows, :])
     return _gram_results(
         grams, alpha, r_used=[len(rows) for rows in row_sets], c_used=work.n_cols,
-        orientation="columns", dropped_columns=dropped,
+        dropped_columns=dropped,
     )
 
 
@@ -319,10 +300,8 @@ def test_known_matrix(stack: DataStack, m0: np.ndarray, alpha: float = 0.05) -> 
         )
     if not np.isfinite(m0).all():
         raise ValueError("m0 contains non-finite values")
-    return _gram_results(
-        _gram(stack.values - m0), alpha, r_used=stack.n_rows, c_used=stack.n_cols,
-        orientation="columns",
-    )[0]
+    return _gram_results(_gram(stack.values - m0), alpha, r_used=stack.n_rows,
+                         c_used=stack.n_cols)[0]
 
 
 def _pair_grams(x: np.ndarray) -> np.ndarray:
@@ -371,9 +350,7 @@ def test_known_difference(
     if not np.isfinite(mu0).all():
         raise ValueError("mu0 contains non-finite values")
     pair = np.stack([stack.values[:, :, col_a] - mu0, stack.values[:, :, col_b]], axis=2)
-    return _gram_results(
-        _pair_grams(pair), alpha, r_used=stack.n_rows, c_used=2, orientation="columns"
-    )[0]
+    return _gram_results(_pair_grams(pair), alpha, r_used=stack.n_rows, c_used=2)[0]
 
 
 def _merge_groups(c: int, merge_pairs: list[tuple[int, int]]) -> GroupPartition:
@@ -419,10 +396,8 @@ def discover_structure(stack: DataStack, alpha: float = 0.05) -> dict:
         return trace
 
     all_pairs = list(itertools.combinations(range(c), 2))
-    results = _gram_results(
-        _pair_grams(stack.values), alpha, r_used=stack.n_rows, c_used=2,
-        orientation="columns",
-    )
+    results = _gram_results(_pair_grams(stack.values), alpha, r_used=stack.n_rows,
+                            c_used=2)
     p = np.array([result.p_value for result in results])
     # FDR over the pairs that ran; Bonferroni over every attempted pair.
     # A failed pair's adjusted p-values are NaN.

@@ -521,11 +521,12 @@ def monte_carlo(config: SimConfig, workers: int = 1) -> RejectionReport:
         raise ValueError(f"worker count must be positive, got {workers}")
     # the calling thread is worker 0 and runs replicate 0 alone, so what a
     # method loads on first use is loaded once, here; each worker builds
-    # its stacks in one set of buffers
+    # its stacks in one set of buffers, and no helper is started that could
+    # never claim one of the other replicates
     buffers = stack_buffers(config, root)
     run_one(0, buffers)
     helpers = [threading.Thread(target=work, args=(stack_buffers(config, root),))
-               for _ in range(workers - 1)]
+               for _ in range(min(workers, config.replicates) - 1)]
     for helper in helpers:
         helper.start()
     work(buffers)

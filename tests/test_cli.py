@@ -192,6 +192,30 @@ def test_rows_orientation_of_known_mean_tests_is_reported(tmp_path, capsys):
         assert rep["result"]["statistic"] == direct["result"]["statistic"]
 
 
+@pytest.mark.parametrize("orientation", ["columns", "rows"])
+def test_all_singleton_partition_is_refused_in_either_orientation(tmp_path, capsys, orientation):
+    data = tmp_path / "d.tsv"
+    write_stack_file(str(data), DataStack(np.random.default_rng(3).standard_normal((6, 3, 3))))
+    code, report, err = _run(["test", str(data), "--orientation", orientation,
+                              "--partition", "sizes=1,1,1"], capsys)
+    assert (code, report) == (1, None)
+    assert err == ("error: partition needs at least one group of size >= 2; "
+                   "all groups are singletons\n")
+
+
+def test_rows_orientation_reports_the_dropped_row_ids(tmp_path, capsys):
+    v = np.random.default_rng(4).standard_normal((6, 5, 3))
+    data = tmp_path / "long.tsv"
+    _write_long(data, v, [f"s{i}" for i in range(6)], ["ra", "rb", "rc", "rd", "re"],
+                ["x", "y", "z"])
+    code, report, _ = _run(["test", str(data), "--orientation", "rows", "--partition",
+                            "groups=ra:1,rb:1,rc:solo,rd:2,re:2"], capsys)
+    assert code == 0
+    assert report["result"]["dropped_columns"] == ["rc"]
+    assert report["result"]["c_used"] == 4
+    assert report["warnings"] == ["singleton-group columns were dropped before testing: rc"]
+
+
 def test_known_matrix_mode(tmp_path, capsys):
     rng = np.random.default_rng(21)
     m0 = rng.standard_normal((8, 4))
@@ -1054,6 +1078,17 @@ def test_package_names_load_their_modules_on_first_use():
         "assert matmean.build_preset is presets.build_preset\n"
         "assert PRESET_NAMES is presets.PRESET_NAMES\n"
         "assert not hasattr(matmean, 'no_such_name')\n"
+    )
+
+
+def test_cli_resolves_the_monte_carlo_entry_points_through_the_package():
+    _run_fresh(
+        "import sys\n"
+        "import matmean.cli\n"
+        "loaded = [m for m in ('matmean.simulate', 'matmean.presets') if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+        "assert matmean.cli.monte_carlo is sys.modules['matmean.simulate'].monte_carlo\n"
+        "assert matmean.cli.build_preset is sys.modules['matmean.presets'].build_preset\n"
     )
 
 

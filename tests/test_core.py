@@ -112,14 +112,15 @@ def test_drop_singletons():
     vals = rng.standard_normal((4, 3, 6))
     stack = DataStack(vals)
     part = GroupPartition.from_labels(["a", "x", "a", "b", "b", "y"])
-    kept_stack, kept_part = drop_singletons(stack, part)
+    kept_stack, kept_part, dropped = drop_singletons(stack, part)
+    assert dropped == (1, 5)
     assert kept_part.sizes == (2, 2)
     assert kept_stack.n_cols == 4
     assert np.array_equal(kept_stack.values, vals[:, :, [0, 2, 3, 4]])
     # no singletons: the same objects come back
     part2 = GroupPartition.from_sizes((3, 3))
-    same_stack, same_part = drop_singletons(stack, part2)
-    assert same_stack is stack and same_part is part2
+    same_stack, same_part, none_dropped = drop_singletons(stack, part2)
+    assert same_stack is stack and same_part is part2 and none_dropped == ()
 
 
 def test_datastack_validation_and_views():
@@ -215,7 +216,8 @@ def test_projection_apply_equals_gather_expression_bytes(partition):
                  "stack has 3 columns but partition covers 4", id="drop-width"),
     pytest.param(ValueError, lambda: drop_singletons(DataStack(np.ones((4, 2, 3))),
                                                      GroupPartition((1, 2, 3))),
-                 "all groups are singletons; nothing left to test", id="drop-all"),
+                 "partition needs at least one group of size >= 2; all groups are singletons",
+                 id="drop-all"),
     pytest.param(AttributeError, lambda: matmean.no_such_name,
                  "module 'matmean' has no attribute 'no_such_name'", id="package-attribute"),
 ])

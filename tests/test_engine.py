@@ -214,8 +214,8 @@ def test_every_test_path_rejects_exactly_when_p_is_below_alpha():
             stack = _random_stack(rng, 10, 8, 6, mean=mean)
             part = GroupPartition.from_sizes((3, 3))
             results.append(mean_matrix_test(stack, part, alpha=alpha))
-            results.append(mean_matrix_test(stack, GroupPartition.from_sizes((4, 4)),
-                                            alpha=alpha, orientation="rows"))
+            results.append(mean_matrix_test(stack.transposed(),
+                                            GroupPartition.from_sizes((4, 4)), alpha=alpha))
             results.append(known_matrix_test(stack, np.zeros((8, 6)), alpha=alpha))
             results.append(known_difference_test(
                 stack.take_columns([4, 5]), 0.0, col_a=0, col_b=1, alpha=alpha))
@@ -276,16 +276,6 @@ def test_result_json_form_is_pinned():
     )
 
 
-def test_orientation_rows_equals_transposed_columns():
-    rng = np.random.default_rng(38)
-    stack = _random_stack(rng, 6, 5, 4)
-    part = GroupPartition.from_sizes((3, 2))  # partitions the 5 rows
-    by_rows = mean_matrix_test(stack, part, orientation="rows")
-    by_cols = mean_matrix_test(stack.transposed(), part, orientation="columns")
-    assert by_rows.statistic == pytest.approx(by_cols.statistic, rel=1e-12)
-    assert by_rows.orientation == "rows"
-
-
 def test_minimum_subjects_enforced():
     rng = np.random.default_rng(39)
     stack = _random_stack(rng, MIN_SUBJECTS - 1, 6, 4)
@@ -306,9 +296,6 @@ _STACK = DataStack(np.random.default_rng(41).standard_normal((6, 4, 3)))
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda: deviation_estimate(np.ones((3, 4))),
                  "gram matrix must be square, got shape (3, 4)", id="gram-not-square"),
-    pytest.param(lambda: mean_matrix_test(_STACK, GroupPartition.from_sizes((3,)),
-                                          orientation="diagonal"),
-                 "orientation must be 'columns' or 'rows', got 'diagonal'", id="orientation"),
     pytest.param(lambda: known_matrix_test(_STACK, np.zeros((3, 3))),
                  "m0 has shape (3, 3), expected (4, 3)", id="m0-shape"),
     pytest.param(lambda: known_matrix_test(_STACK, np.full((4, 3), np.nan)),
@@ -512,10 +499,10 @@ def test_discover_structure_is_invariant_to_permuting_subjects_rows_and_columns(
 def test_rows_orientation_is_the_columns_test_of_the_transpose_bit_for_bit():
     for seed in range(200):
         x, part, _, _ = _relabel_case(seed)
-        by_rows = mean_matrix_test(DataStack(x.transpose(0, 2, 1)), part, orientation="rows")
+        # the stack as read by rows, turned as the CLI turns it for --orientation rows
+        by_rows = mean_matrix_test(DataStack(x.transpose(0, 2, 1)).transposed(), part)
         by_cols = mean_matrix_test(DataStack(x), part)
-        assert by_rows.orientation == "rows"
-        assert {**by_rows.to_dict(), "orientation": "columns"} == by_cols.to_dict()
+        assert by_rows.to_dict() == by_cols.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +656,7 @@ def _exact_anova_p(x, assignment):
     return out
 
 
-# (N, r, c, column group sizes, row group sizes for orientation="rows")
+# (N, r, c, column group sizes, row group sizes for the test of the transpose)
 _ORACLE_SHAPES = [(4, 4, 4, (2, 2), (2, 2)), (5, 3, 6, (2, 4), (3,)),
                   (12, 6, 8, (3, 5), (2, 4))]
 
@@ -719,7 +706,7 @@ def _oracle_params(paths, cases):
 
 
 @pytest.mark.parametrize("path, shape, sizes, row_sizes, case", _oracle_params(
-    ("columns", "rows", "known"), _ORACLE_CASES))
+    ("columns", "rows", "known", "screen", "known-difference"), _ORACLE_CASES))
 def test_z_matches_the_exact_rational_z(path, shape, sizes, row_sizes, case):
     n, r, c = shape
     # whether rounding leaves identical subjects a statistic depends on the
@@ -730,22 +717,31 @@ def test_z_matches_the_exact_rational_z(path, shape, sizes, row_sizes, case):
         else:
             x = _oracle_data(shape, case, seed)
         exact_x, m0 = _integers(x, np.zeros((r, c)))
+        part = GroupPartition.from_sizes(sizes)
         if path == "known":
-            result = known_matrix_test(DataStack(x), np.zeros((r, c)))
-            want = _exact_z(exact_x - m0)
+            results = [known_matrix_test(DataStack(x), np.zeros((r, c)))]
+            wants = [_exact_z(exact_x - m0)]
         elif path == "columns":
-            part = GroupPartition.from_sizes(sizes)
-            result = mean_matrix_test(DataStack(x), part)
-            want = _exact_z(_exact_centred(exact_x, part.assignment))
-        else:  # a grouping of the rows: the exact columns test of the transpose
+            results = [mean_matrix_test(DataStack(x), part)]
+            wants = [_exact_z(_exact_centred(exact_x, part.assignment))]
+        elif path == "rows":  # a grouping of the rows: the exact columns test of the transpose
             part = GroupPartition.from_sizes(row_sizes)
-            result = mean_matrix_test(DataStack(x), part, orientation="rows")
-            want = _exact_z(_exact_centred(exact_x.transpose(0, 2, 1), part.assignment))
-        if want is None:
-            assert result.failure == "unstable variance estimate (nonpositive trace estimate)"
-        else:
-            assert result.failure is None, (seed, result.failure)
-            assert abs(result.statistic - want) <= 1e-12 * abs(want), (result.statistic, want)
+            results = [mean_matrix_test(DataStack(x).transposed(), part)]
+            wants = [_exact_z(_exact_centred(exact_x.transpose(0, 2, 1), part.assignment))]
+        elif path == "screen":  # the first half of the rows, then all of them
+            sets = [list(range(r // 2)), list(range(r))]
+            results = screen_row_sets(DataStack(x), part, sets)
+            wants = [_exact_z(_exact_centred(exact_x[:, rows, :], part.assignment))
+                     for rows in sets]
+        else:  # the first column against the last, mu0 = 0: the test of their difference
+            results = [known_difference_test(DataStack(x), 0.0, col_a=0, col_b=c - 1)]
+            wants = [_exact_z(exact_x[:, :, 0] - exact_x[:, :, c - 1])]
+        for result, want in zip(results, wants, strict=True):
+            if want is None:
+                assert result.failure == "unstable variance estimate (nonpositive trace estimate)"
+            else:
+                assert result.failure is None, (seed, result.failure)
+                assert abs(result.statistic - want) <= 1e-12 * abs(want), (result.statistic, want)
 
 
 @pytest.mark.parametrize("path, shape, sizes, row_sizes, case", _oracle_params(

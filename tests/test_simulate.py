@@ -745,6 +745,20 @@ def test_monte_carlo_with_one_worker_starts_no_thread(monkeypatch):
     assert monte_carlo(_config(), workers=1).outcome("proposed").valid == 150
 
 
+def test_monte_carlo_starts_no_helper_that_could_never_claim_a_replicate(monkeypatch):
+    # the caller runs replicate 0, so at most replicates - 1 helpers get one
+    cfg = _config(replicates=100)
+    serial = monte_carlo(cfg, workers=1).to_csv()
+    buffer_sets, starts = [], []
+    real_buffers, real_start = simulate.stack_buffers, threading.Thread.start
+    monkeypatch.setattr(simulate, "stack_buffers",
+                        lambda *a: buffer_sets.append(None) or real_buffers(*a))
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: starts.append(None) or real_start(thread))
+    assert monte_carlo(cfg, workers=150).to_csv() == serial
+    assert (len(buffer_sets), len(starts)) == (100, 99)
+
+
 def test_monte_carlo_raises_what_a_helper_replicate_raises(monkeypatch):
     caller = threading.get_ident()
     raised = threading.Event()
