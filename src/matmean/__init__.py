@@ -41,12 +41,13 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = sorted([*_MODULE_OF, "PRESET_NAMES"])
 
 
-def __getattr__(name):
+def __getattr__(name, asked=__name__):
+    # ``asked`` is the module the name was looked up on, for the error
     if name in _EXPORTS:
         return import_module(f".{name}", __name__)
     if name in _MODULE_OF:
         return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    raise AttributeError(f"module {asked!r} has no attribute {name!r}")
 
 
 def __dir__():

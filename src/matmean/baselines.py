@@ -17,12 +17,13 @@ size distortion, not as valid tests.
 Kruskal-Wallis ranks its rows in blocks of ``_KW_BLOCK_VALUES`` pooled
 values, so its temporaries stay small however many rows there are.
 
-The F and chi-square tails of the row-wise tests come from
-``scipy.special`` (``fdtrc`` and ``chdtrc``, the functions behind
-``scipy.stats.f.sf`` and ``chi2.sf``), so ``scipy.stats`` is never
-imported.  ``anova_rowwise`` and ``kruskal_rowwise`` import them when
-called; no other code in the package loads scipy.  The Chen-Qin normal
-tail comes from ``matmean.normal`` through the engine.
+A row-wise test is a statistic step (``_anova_statistic``,
+``_kruskal_statistic``) and a tail from ``scipy.special`` (``fdtrc`` and
+``chdtrc``, behind ``scipy.stats.f.sf`` and ``chi2.sf``), which
+``anova_rowwise`` and ``kruskal_rowwise`` import when called.  The Monte
+Carlo harness decides from the statistics alone and loads scipy only for
+a replicate it cannot decide that way.  The Chen-Qin normal tail comes
+from ``matmean.normal`` through the engine.
 """
 
 from __future__ import annotations
@@ -76,21 +77,8 @@ def _pooled_layout(stack: DataStack, partition: GroupPartition):
     return indicator, assign
 
 
-def anova_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
-    """One-way F test per row, pooling subjects within column groups.
-
-    For each of the r rows, the N values in every column are pooled by
-    the column's group, giving N*c_q replicates per group, and a
-    standard one-way ANOVA is run across the g groups.  The sums of
-    squares are taken from each row's residuals about its mean, so a
-    shift of a row and a scaling of the data leave p unchanged up to
-    rounding.  Returns one p-value per row.  A row whose within-group
-    sum of squares is at most ``_DEGENERATE_RTOL`` times its total sum
-    of squares gets p = 1: a constant row, and also a row whose groups
-    are each constant but differ, whose F is infinite.
-    """
-    from scipy.special import fdtrc
-
+def _anova_statistic(stack: DataStack, partition: GroupPartition) -> tuple:
+    """(f, df1, df2): the F of each row, -inf where ``anova_rowwise`` gives p = 1."""
     indicator, _ = _pooled_layout(stack, partition)
     vals = stack.values
     n, r, c = vals.shape
@@ -104,11 +92,31 @@ def anova_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
     ss_between = (group_sum * group_sum / counts).sum(axis=1)
     ss_within = ss_total - ss_between
 
-    degenerate = ss_within <= _DEGENERATE_RTOL * ss_total
+    live = ~(ss_within <= _DEGENERATE_RTOL * ss_total)
     df1, df2 = g - 1, n_tot - g
-    p = np.ones(r)
-    live = ~degenerate
-    p[live] = fdtrc(df1, df2, (ss_between[live] / df1) / (ss_within[live] / df2))
+    f = np.full(r, -np.inf)
+    f[live] = (ss_between[live] / df1) / (ss_within[live] / df2)
+    return f, df1, df2
+
+
+def anova_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
+    """One-way F test per row, pooling subjects within column groups.
+
+    For each of the r rows, the N values in every column are pooled by
+    the column's group, giving N*c_q replicates per group, and a
+    standard one-way ANOVA is run across the g groups.  The sums of
+    squares are taken from each row's residuals about its mean, so a
+    shift of a row and a scaling of the data leave p unchanged up to
+    rounding.  Returns one p-value per row.  A row whose within-group
+    sum of squares is at most ``_DEGENERATE_RTOL`` times its total sum
+    of squares gets p = 1: a constant row, and also a row whose groups
+    are each constant but differ, whose F is infinite.
+    """
+    f, df1, df2 = _anova_statistic(stack, partition)
+    from scipy.special import fdtrc
+
+    p = np.ones(f.size)
+    p[f != -np.inf] = fdtrc(df1, df2, f[f != -np.inf])
     return p
 
 
@@ -144,17 +152,12 @@ def _rank_in_place(flat: np.ndarray) -> tuple:
     return order, all_tied, tie_sum
 
 
-def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
-    """Kruskal-Wallis test per row with mid-rank tie correction.
+def _kruskal_statistic(stack: DataStack, partition: GroupPartition) -> tuple:
+    """(h, df): the tie-corrected H of each row, -inf where all values are tied.
 
-    Same pooling as anova_rowwise but on ranks, so it is exactly
-    invariant under monotone transformations of a row.  All-tied rows
-    get p = 1.  Blocks of rows (128 when N*c = 100) are pooled, ranked
-    and summed by group in turn; the statistic, the tie correction and
-    the tail then take all rows at once.
+    Blocks of rows (128 when N*c = 100) are pooled, ranked and summed by
+    group in turn; the statistic and its tie correction take all rows at once.
     """
-    from scipy.special import chdtrc
-
     _, assign = _pooled_layout(stack, partition)
     vals = stack.values
     n, r, c = vals.shape
@@ -182,9 +185,24 @@ def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
     ) - 3.0 * (n_tot + 1)
     correction = 1.0 - tie_sum / (n_tot**3 - n_tot)
 
-    p = np.ones(r)
     live = ~all_tied
-    p[live] = chdtrc(g - 1, np.maximum(h[live] / correction[live], 0.0))
+    stat = np.full(r, -np.inf)
+    stat[live] = np.maximum(h[live] / correction[live], 0.0)
+    return stat, g - 1
+
+
+def kruskal_rowwise(stack: DataStack, partition: GroupPartition) -> np.ndarray:
+    """Kruskal-Wallis test per row with mid-rank tie correction.
+
+    Same pooling as anova_rowwise but on ranks, so it is exactly
+    invariant under monotone transformations of a row.  All-tied rows
+    get p = 1.
+    """
+    h, df = _kruskal_statistic(stack, partition)
+    from scipy.special import chdtrc
+
+    p = np.ones(h.size)
+    p[h != -np.inf] = chdtrc(df, h[h != -np.inf])
     return p
 
 
@@ -193,7 +211,8 @@ def adjust_pvalues(p, method: str, family: int | None = None) -> np.ndarray:
 
     ``p`` is a 1-d array; a NaN marks a failed test, stays NaN and is left
     out of the family, whose size is the number of other entries unless
-    ``family`` gives it.  Step-up values come from the reversed cumulative
+    ``family`` gives it; a given family is an integer no smaller than
+    that number.  Step-up values come from the reversed cumulative
     minimum, so they are monotone in p and never exceed Bonferroni's.
     """
     p = np.asarray(p, dtype=float)
@@ -204,6 +223,8 @@ def adjust_pvalues(p, method: str, family: int | None = None) -> np.ndarray:
     if ((q < 0.0) | (q > 1.0)).any():
         raise ValueError("p-values must lie in [0, 1]")
     m = q.size if family is None else family
+    if not isinstance(m, (int, np.integer)) or m < q.size:
+        raise ValueError(f"family must be an integer of at least {q.size}, got {family!r}")
     if method == "bonferroni":
         q = np.minimum(1.0, q * m)
     elif method == "fdr":

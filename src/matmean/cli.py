@@ -24,10 +24,7 @@ import sys
 import numpy as np
 
 from . import DEFAULT_REPLICATES, PRESET_NAMES
-# PEP 562: a name not defined here resolves through the package's export
-# table, so build_preset and monte_carlo load their modules on first use, and
-# only the simulate command loads them
-from . import __getattr__
+from . import __getattr__ as _exported
 from .baselines import adjust_pvalues
 from .core import GroupPartition, RunAborted
 from .engine import (
@@ -40,6 +37,13 @@ from .engine import (
 from .io import LoadedStack, load_stack, read_matrix_file, read_vector_file, read_row_sets
 
 SCHEMA_VERSION = 1
+
+
+def __getattr__(name):
+    # PEP 562: a name not defined here resolves through the package's export
+    # table, so build_preset and monte_carlo load their modules on first use,
+    # and only the simulate command loads them
+    return _exported(name, __name__)
 
 
 class CliError(ValueError):

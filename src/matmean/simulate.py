@@ -10,15 +10,17 @@ across dimensions.
 Replicate k of a run draws from its own counter-based RNG stream, so
 results are identical no matter how replicates are scheduled across
 threads.  The calling thread is worker 0: it runs replicate 0 alone,
-then ``workers - 1`` helper threads take the remaining replicates
-alongside it.  Each worker builds its stacks in one set of buffers
-that lives for the whole run: N*r*c floats for the stack, plus the
-same again for each scratch array the covariance root needs (none for
-the identity, one for compound symmetry, two otherwise).
+which fills the cache of row-wise critical values, then ``workers - 1``
+helper threads take the remaining replicates alongside it.  Each worker
+builds its stacks in one set of buffers that lives for the whole run:
+N*r*c floats for the stack, plus the same again for each scratch array
+the covariance root needs (none for the identity, one for compound
+symmetry, two otherwise).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 import time
@@ -27,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .baselines import adjust_pvalues, anova_rowwise, kruskal_rowwise, pairwise_cq_procedure
+from .baselines import (_anova_statistic, _kruskal_statistic, adjust_pvalues, anova_rowwise,
+                        kruskal_rowwise, pairwise_cq_procedure)
 from .core import (
     MAX_STACK_VALUES,
     DataStack,
@@ -269,12 +272,88 @@ def _score_proposed(stack, cfg, per_column) -> tuple:
     return (mean_matrix_test(stack, cfg.partition, alpha=cfg.alpha).reject,)
 
 
+# The row-wise baselines are decided on their statistics, without p-values.
+# With the statistics sorted s_1 >= ... >= s_m and t_k the point where the
+# upper tail equals k alpha / m, Benjamini-Hochberg rejects iff some
+# s_k > t_k and Bonferroni iff s_1 > t_1.  A replicate with a statistic
+# within _BAND of its t_k, or a NaN or +inf one (whose p leaves the family),
+# is decided by the p-value path instead.
+_BAND = 1e-7
+
+
+def _series(ratios: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The sum of c_j z^j, j >= 0, with c_0 = 1 and c_j = c_(j-1) ratios[j-1]."""
+    coef = np.cumprod(np.r_[1.0, ratios]).tolist()
+    s = np.full_like(z, coef[-1])
+    for c in coef[-2::-1]:
+        s *= z
+        s += c
+    return s
+
+
+def _tail(df: tuple, t: np.ndarray) -> tuple:
+    """Upper tail at t of the F law (df = (d1, d2), one of them even) or the
+    chi-square law (df = (d,)) by finite sums, and -t times its derivative."""
+    if len(df) == 1:
+        nu, z = df[0], t / 2
+        d = np.exp(nu / 2 * np.log(z) - z - math.lgamma(nu / 2))
+        if nu % 2 == 0:
+            return np.exp(-z) * _series(1 / np.arange(1, nu // 2), z), d
+        q = np.vectorize(math.erfc)(np.sqrt(z))
+        if nu > 1:
+            q += np.sqrt(2 * t / math.pi) * np.exp(-z) * _series(1 / np.arange(3, nu - 1, 2), t)
+        return q, d
+    (d1, d2), a, b = df, df[1] / 2, df[0] / 2
+    x, y = d2 / (d2 + d1 * t), d1 * t / (d2 + d1 * t)
+    d = np.exp(a * np.log(x) + b * np.log(y) + math.lgamma(a + b) - math.lgamma(a)
+               - math.lgamma(b))
+    j = np.arange(1, (d1 if d1 % 2 == 0 else d2) // 2)
+    if d1 % 2 == 0:
+        return x**a * _series((a + j - 1) / j, y), d
+    return 1.0 - y**b * _series((b + j - 1) / j, x), d
+
+
+@functools.cache
+def _critical_values(df: tuple, m: int, alpha: float):
+    """t_1 > ... > t_m, or None if the finite sums cannot place them within _BAND / 10."""
+    p = alpha * np.arange(1, m + 1) / m
+    with np.errstate(all="ignore"):
+        hi = float(df[0]) if len(df) == 1 else 1.0
+        while _tail(df, np.array([hi]))[0][0] > p[0]:
+            hi *= 2
+        # Newton on log q against log t from the right of every root: log q
+        # is concave in log t, so the steps fall towards the root and stay
+        # right of it; a step that leaves the bracket (on rounding) bisects it
+        t, lo, hi = np.full(m, hi), np.zeros(m), np.full(m, hi)
+        for _ in range(100):
+            q, d = _tail(df, t)
+            hi, lo = np.where(q < p, t, hi), np.where(q < p, lo, t)
+            step = t * np.exp((np.log(q) - np.log(p)) * q / d)
+            t, last = np.where((step >= lo) & (step <= hi), step, (lo + hi) / 2), t
+            if (np.abs(t - last) <= 1e-13 * last).all():
+                break
+    # the sums have positive terms, except that the F tail with d1 odd is
+    # 1 - P, which is good to about (d2 + 10) eps absolute
+    placed = len(df) == 1 or df[0] % 2 == 0 or ((df[1] + 10) * 2.0**-52 / d).max() <= _BAND / 10
+    t.flags.writeable = False  # one array serves every replicate of every run
+    return t if placed else None
+
+
+def _score_rowwise(statistic, rowwise, stack, cfg, per_column) -> tuple:
+    stat, *df = statistic(stack, per_column)
+    s = np.sort(stat)[::-1]
+    t = _critical_values(tuple(df), s.size, cfg.alpha)
+    if t is None or not s[0] < np.inf or (np.abs(s - t) <= _BAND * t).any():
+        return _family_verdicts(rowwise(stack, per_column), cfg.alpha)
+    return bool((s > t).any()), bool(s[0] > t[0])
+
+
 def _score_anova(stack, cfg, per_column) -> tuple:
-    return _family_verdicts(anova_rowwise(stack, per_column), cfg.alpha)
+    return _score_rowwise(_anova_statistic, anova_rowwise, stack, cfg, per_column)
 
 
 def _score_kw(stack, cfg, per_column) -> tuple:
-    return _family_verdicts(kruskal_rowwise(stack, per_column), cfg.alpha)
+    return _score_rowwise(_kruskal_statistic, kruskal_rowwise, stack, cfg, per_column)
 
 
 def _score_cq(stack, cfg, per_column) -> tuple:
@@ -465,7 +544,8 @@ def monte_carlo(config: SimConfig, workers: int = 1) -> RejectionReport:
     replicate, mirroring how competing tests are compared on common
     draws.  ANOVA and Kruskal-Wallis treat each column as its own
     treatment (the no-column-effect family) with the family-wise rule
-    "reject iff the smallest adjusted p-value is below alpha".
+    "reject iff the smallest adjusted p-value is below alpha", decided
+    from the statistics against critical values (see ``_score_rowwise``).
 
     Per-replicate failures (flagged results or errors) are excluded
     from the denominators and reported per method; the run aborts with

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -288,6 +290,19 @@ def test_adjust_pvalues_family_sets_the_count():
     assert adjust_pvalues(np.array([0.25, 0.5]), "bonferroni", family=3).tolist() == [0.75, 1.0]
     # BH: rank k of the tests that ran, scaled by family / k
     assert adjust_pvalues(p, "fdr", family=4)[[0, 2]].tolist() == [0.04, 0.04]
+
+
+@pytest.mark.parametrize("family", [0, -3, 2, 3.0, 4.5, "4"])
+def test_adjust_pvalues_refuses_a_family_smaller_than_the_tests_or_not_an_integer(family):
+    # with family 0 every test would reject, with -3 the values would be
+    # negative and with 2 three live p-values would be under-corrected
+    p = np.array([0.01, np.nan, 0.02, 0.03])
+    for method in ("fdr", "bonferroni"):
+        with pytest.raises(ValueError, match=f"family must be an integer of at least 3, "
+                                             f"got {re.escape(repr(family))}"):
+            adjust_pvalues(p, method, family=family)
+    assert adjust_pvalues(p, "bonferroni", family=np.int64(3))[[0, 2, 3]].tolist() == \
+        [0.03, 0.06, 0.09]
 
 
 def _brute_cross_trace(c):

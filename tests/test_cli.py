@@ -1017,9 +1017,10 @@ def test_commands_without_rowwise_baselines_do_not_import_scipy(tmp_path, kind):
     _assert_no_scipy_stats(_no_scipy_argv(tmp_path, kind), absent="scipy")
 
 
-def test_rowwise_baselines_import_scipy_when_run(tmp_path):
-    # scipy.special is imported inside anova_rowwise and kruskal_rowwise;
-    # the CSV bytes are those written when it was imported at module top
+def test_simulate_decides_the_rowwise_baselines_without_scipy(tmp_path):
+    # the harness compares the row-wise statistics with critical values, so
+    # it loads no scipy tail; the CSV bytes are those written when scipy's
+    # p-values decided every replicate
     config = _method_config(tmp_path / "config.json", ("proposed", "anova", "kw"))
     out = tmp_path / "out.csv"
     argv = ["simulate", "--config", str(config), "--out", str(out)]
@@ -1028,7 +1029,7 @@ def test_rowwise_baselines_import_scipy_when_run(tmp_path):
         "from matmean.cli import main\n"
         "assert 'scipy' not in sys.modules\n"
         f"assert main({argv!r}) == 0\n"
-        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     assert out.read_text() == (
         "method,rejections,valid,errors,proportion,std_error\n"
@@ -1090,6 +1091,18 @@ def test_cli_resolves_the_monte_carlo_entry_points_through_the_package():
         "assert matmean.cli.monte_carlo is sys.modules['matmean.simulate'].monte_carlo\n"
         "assert matmean.cli.build_preset is sys.modules['matmean.presets'].build_preset\n"
     )
+
+
+def test_a_name_missing_from_the_cli_module_is_reported_on_it():
+    import matmean
+    import matmean.cli
+    import matmean.simulate
+
+    assert matmean.cli.monte_carlo is matmean.simulate.monte_carlo
+    with pytest.raises(AttributeError, match=r"^module 'matmean\.cli' has no attribute 'nope'$"):
+        matmean.cli.nope
+    with pytest.raises(AttributeError, match=r"^module 'matmean' has no attribute 'nope'$"):
+        matmean.nope
 
 
 def test_every_module_star_import_resolves():
@@ -1165,9 +1178,7 @@ def test_perfbench_tracer_runs_a_command(tmp_path):
         # every layer span of a Monte Carlo run must still fire: a function
         # the harness captured before the tracer wrapped it would not show
         (["simulate", "--config", str(config)],
-         {"engine.mean_matrix_test", "baselines.anova_rowwise",
-          "baselines.kruskal_rowwise", "baselines.pairwise_cq",
-          "covariance.root_apply"}),
+         {"engine.mean_matrix_test", "baselines.pairwise_cq", "covariance.root_apply"}),
     )
     for k, (args, expected) in enumerate(commands):
         spans = tmp_path / f"spans{k}.json"
@@ -1180,6 +1191,9 @@ def test_perfbench_tracer_runs_a_command(tmp_path):
         names = {span[2] for span in json.loads(spans.read_text())["spans"]}
         assert names
         assert expected <= names, expected - names
+        # the harness decides the row-wise baselines from their statistics,
+        # so the p-value functions the tracer wraps are not called
+        assert not names & {"baselines.anova_rowwise", "baselines.kruskal_rowwise"}
 
 
 # ---------------------------------------------------------------------------

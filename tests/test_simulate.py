@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -802,9 +803,10 @@ def test_monte_carlo_null_size_sane():
 
 
 def test_monte_carlo_failures_tallied_per_column(monkeypatch):
+    # the ANOVA scorer computes its statistics through this module global
     cfg = _config(methods=("proposed", "anova"), replicates=200)
     clean = monte_carlo(cfg, workers=1)
-    real = simulate.anova_rowwise
+    real = simulate._anova_statistic
     calls = []
 
     def flaky(stack, partition):
@@ -813,7 +815,7 @@ def test_monte_carlo_failures_tallied_per_column(monkeypatch):
             raise ValueError("injected failure")
         return real(stack, partition)
 
-    monkeypatch.setattr(simulate, "anova_rowwise", flaky)
+    monkeypatch.setattr(simulate, "_anova_statistic", flaky)
     rep = monte_carlo(cfg, workers=1)
     for name in ("anova_fdr", "anova_bon"):
         out = rep.outcome(name)
@@ -824,9 +826,135 @@ def test_monte_carlo_failures_tallied_per_column(monkeypatch):
     def broken(stack, partition):
         raise ValueError("injected failure")
 
-    monkeypatch.setattr(simulate, "anova_rowwise", broken)
+    monkeypatch.setattr(simulate, "_anova_statistic", broken)
     with pytest.raises(RuntimeError, match="'anova_fdr' failed on 200 of 200"):
         monte_carlo(cfg, workers=1)
+
+
+# ---------------------------------------------------------------------------
+# row-wise verdicts from critical values
+
+
+def _rowwise_stack(rng, n, r, c):
+    """A stack with some rows shifted, some constant, some with constant but
+    different groups, and some with heavy ties."""
+    x = rng.standard_normal((n, r, c))
+    shifted = rng.uniform(size=r) < 0.3
+    x[:, shifted, : c // 2] += rng.uniform(0.0, 2.0) * rng.uniform(size=shifted.sum())[:, None]
+    kind = rng.integers(0, 10, size=r)
+    x[:, kind == 0] = 1.5
+    x[:, kind == 1] = np.arange(c, dtype=float)
+    x[:, kind == 2] = np.round(x[:, kind == 2])
+    return DataStack(x)
+
+
+def test_rowwise_verdicts_from_critical_values_equal_the_p_value_path():
+    # BH and Bonferroni decided on the sorted statistics against t_k give the
+    # verdicts of the adjusted scipy p-values, with no replicate in the band
+    rng = np.random.default_rng(2024)
+    fallbacks, seen = [], set()
+    for _ in range(400):
+        n, c = int(rng.choice([4, 10, 30])), int(rng.choice([3, 4, 10]))
+        r = int(rng.choice([1, 7, 100, 1000], p=[0.2, 0.35, 0.35, 0.1]))
+        alpha = float(rng.choice([0.01, 0.05, 0.1]))
+        stack = _rowwise_stack(rng, n, r, c)
+        per_column = GroupPartition(tuple(range(1, c + 1)))
+        cfg = SimpleNamespace(alpha=alpha)
+        for statistic, rowwise in ((simulate._anova_statistic, simulate.anova_rowwise),
+                                   (simulate._kruskal_statistic, simulate.kruskal_rowwise)):
+            def exact(*args, rowwise=rowwise):
+                fallbacks.append(None)
+                return rowwise(*args)
+
+            got = simulate._score_rowwise(statistic, exact, stack, cfg, per_column)
+            want = simulate._family_verdicts(rowwise(stack, per_column), alpha)
+            assert got == want, (n, r, c, alpha)
+            seen.add(want)
+    assert fallbacks == []
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("df", [(9, 90), (9, 290), (9, 490), (9, 990), (9,)])
+@pytest.mark.parametrize("m", [100, 500, 1000])
+def test_critical_values_of_the_preset_cells_are_scipy_tails_within_the_band(df, m):
+    # table1, table2 and webtable2 test c = 10 columns of N = 10 to 100
+    # subjects: F(9, 10 (N - 1)) and chi-square(9)
+    from scipy.special import chdtrc, fdtrc
+
+    def tail(t):
+        return fdtrc(*df, t) if len(df) == 2 else chdtrc(*df, t)
+
+    t = simulate._critical_values(df, m, 0.05)
+    p = 0.05 * np.arange(1, m + 1) / m
+    band = simulate._BAND / 10
+    assert (np.diff(t) < 0).all()
+    # a statistic outside the band is on the same side of t_k as of scipy's
+    assert (tail(t * (1 + band)) < p).all() and (tail(t * (1 - band)) > p).all()
+
+
+def test_native_tails_match_scipy():
+    from scipy.special import chdtrc, fdtrc
+
+    t = np.exp(np.random.default_rng(6).uniform(-4, 5, 500))
+    for df in [(9, 90), (9, 990), (1, 2), (2, 3), (3, 6), (4, 9), (99, 990), (10, 990)]:
+        q, _ = simulate._tail(df, t)
+        assert np.abs(q - fdtrc(*df, t)).max() < 1e-13, df
+    for nu in range(1, 60):
+        q, _ = simulate._tail((nu,), t)
+        assert np.abs(q - chdtrc(nu, t)).max() < 1e-14, nu
+
+
+def test_critical_values_the_sums_cannot_place_are_not_used(monkeypatch):
+    # 1 - P loses digits in the far tail of F with d1 odd; the positive sums do not
+    assert simulate._critical_values((9, 990), 1, 1e-7) is None
+    assert simulate._critical_values((10, 990), 1, 1e-7) is not None
+    assert simulate._critical_values((9,), 1, 1e-7) is not None
+    # so every replicate of such a run takes the p-value path: here F(3, 28)
+    # at 1e-7 / 12
+    cfg = _config(methods=("anova",), alpha=1e-7, replicates=100)
+    assert simulate._critical_values((3, 28), 12, 1e-7) is None
+    calls = []
+    real = simulate.anova_rowwise
+    monkeypatch.setattr(simulate, "anova_rowwise", lambda *a: calls.append(None) or real(*a))
+    assert monte_carlo(cfg, workers=1).outcome("anova_bon").valid == 100
+    assert len(calls) == 100
+
+
+def _patched_statistic(monkeypatch, edit):
+    """Pass the ANOVA statistics through ``edit(f, df)``; returns a list that
+    gets one entry per call of the p-value path."""
+    real, real_rowwise, exact = simulate._anova_statistic, simulate.anova_rowwise, []
+
+    def edited(stack, partition):
+        f, *df = real(stack, partition)
+        return (edit(f.copy(), tuple(df)), *df)
+
+    monkeypatch.setattr(simulate, "_anova_statistic", edited)
+    monkeypatch.setattr(simulate, "anova_rowwise",
+                        lambda *a: exact.append(None) or real_rowwise(*a))
+    return exact
+
+
+def _on_t1(f, df):
+    # s_1 exactly on t_1, inside the band, and every other statistic far below
+    t1 = simulate._critical_values(df, f.size, 0.05)[0]
+    f = np.minimum(f, t1 / 2)
+    f[np.argmax(f)] = t1
+    return f
+
+
+@pytest.mark.parametrize("edit", [
+    _on_t1,
+    lambda f, df: np.where(f == f.min(), np.nan, f),
+    lambda f, df: np.where(f == f.min(), np.inf, f),
+], ids=["on-t1", "nan", "inf"])
+def test_replicate_the_critical_values_cannot_decide_takes_the_p_value_path(monkeypatch, edit):
+    stack = _rowwise_stack(np.random.default_rng(4), 10, 50, 10)
+    per_column = GroupPartition(tuple(range(1, 11)))
+    want = simulate._family_verdicts(simulate.anova_rowwise(stack, per_column), 0.05)
+    exact = _patched_statistic(monkeypatch, edit)
+    assert simulate._score_anova(stack, SimpleNamespace(alpha=0.05), per_column) == want
+    assert len(exact) == 1
 
 
 def test_rejection_report_serialization():
