@@ -84,7 +84,6 @@ def _anova_statistic(stack: DataStack, partition: GroupPartition) -> tuple:
     n, r, c = vals.shape
     g = partition.n_groups
     counts = n * np.asarray(partition.sizes, dtype=float)
-    n_tot = n * c
 
     resid = vals - vals.mean(axis=(0, 2), keepdims=True)
     ss_total = np.einsum("irc,irc->r", resid, resid)
@@ -93,7 +92,7 @@ def _anova_statistic(stack: DataStack, partition: GroupPartition) -> tuple:
     ss_within = ss_total - ss_between
 
     live = ~(ss_within <= _DEGENERATE_RTOL * ss_total)
-    df1, df2 = g - 1, n_tot - g
+    df1, df2 = g - 1, n * c - g
     f = np.full(r, -np.inf)
     f[live] = (ss_between[live] / df1) / (ss_within[live] / df2)
     return f, df1, df2
@@ -185,9 +184,8 @@ def _kruskal_statistic(stack: DataStack, partition: GroupPartition) -> tuple:
     ) - 3.0 * (n_tot + 1)
     correction = 1.0 - tie_sum / (n_tot**3 - n_tot)
 
-    live = ~all_tied
     stat = np.full(r, -np.inf)
-    stat[live] = np.maximum(h[live] / correction[live], 0.0)
+    stat[~all_tied] = np.maximum(h[~all_tied] / correction[~all_tied], 0.0)
     return stat, g - 1
 
 
@@ -210,10 +208,9 @@ def adjust_pvalues(p, method: str, family: int | None = None) -> np.ndarray:
     """Multiplicity adjustment: Benjamini-Hochberg step-up or Bonferroni.
 
     ``p`` is a 1-d array; a NaN marks a failed test, stays NaN and is left
-    out of the family, whose size is the number of other entries unless
-    ``family`` gives it; a given family is an integer no smaller than
-    that number.  Step-up values come from the reversed cumulative
-    minimum, so they are monotone in p and never exceed Bonferroni's.
+    out of the family, whose size is the number of other entries or a
+    ``family`` no smaller than it.  Step-up values come from the reversed
+    cumulative minimum, so they are monotone in p and never exceed Bonferroni's.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:

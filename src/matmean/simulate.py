@@ -10,12 +10,12 @@ across dimensions.
 Replicate k of a run draws from its own counter-based RNG stream, so
 results are identical no matter how replicates are scheduled across
 threads.  The calling thread is worker 0: it runs replicate 0 alone,
-which fills the cache of row-wise critical values, then ``workers - 1``
-helper threads take the remaining replicates alongside it.  Each worker
-builds its stacks in one set of buffers that lives for the whole run:
-N*r*c floats for the stack, plus the same again for each scratch array
-the covariance root needs (none for the identity, one for compound
-symmetry, two otherwise).
+filling the cache of row-wise critical values, then ``workers - 1``
+helpers take the remaining replicates alongside it.  Each worker builds
+its stacks in one set of buffers that lives for the whole run: N*r*c
+floats for the stack, plus the same again for each scratch array the
+covariance root needs (none for the identity, one for compound symmetry,
+two otherwise).
 """
 
 from __future__ import annotations
@@ -279,16 +279,19 @@ def _score_proposed(stack, cfg, per_column) -> tuple:
 # within _BAND of its t_k, or a NaN or +inf one (whose p leaves the family),
 # is decided by the p-value path instead.
 _BAND = 1e-7
+_TINY = np.finfo(float).tiny
 
 
-def _series(ratios: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The sum of c_j z^j, j >= 0, with c_0 = 1 and c_j = c_(j-1) ratios[j-1]."""
-    coef = np.cumprod(np.r_[1.0, ratios]).tolist()
+def _series(factor: np.ndarray, ratios: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """factor times the sum of c_j z^j, c_0 = 1 and c_j = c_(j-1) ratios[j-1];
+    NaN where the factor or a c_j underflows the normal floats (a lost term)."""
+    coef = np.cumprod(np.r_[1.0, ratios])
     s = np.full_like(z, coef[-1])
-    for c in coef[-2::-1]:
+    for c in coef[-2::-1].tolist():
         s *= z
         s += c
-    return s
+    kept = (factor >= _TINY) & (coef >= _TINY).all()
+    return np.where(kept, factor * s, np.nan)
 
 
 def _tail(df: tuple, t: np.ndarray) -> tuple:
@@ -298,10 +301,10 @@ def _tail(df: tuple, t: np.ndarray) -> tuple:
         nu, z = df[0], t / 2
         d = np.exp(nu / 2 * np.log(z) - z - math.lgamma(nu / 2))
         if nu % 2 == 0:
-            return np.exp(-z) * _series(1 / np.arange(1, nu // 2), z), d
+            return _series(np.exp(-z), 1 / np.arange(1, nu // 2), z), d
         q = np.vectorize(math.erfc)(np.sqrt(z))
         if nu > 1:
-            q += np.sqrt(2 * t / math.pi) * np.exp(-z) * _series(1 / np.arange(3, nu - 1, 2), t)
+            q += _series(np.sqrt(2 * t / math.pi) * np.exp(-z), 1 / np.arange(3, nu - 1, 2), t)
         return q, d
     (d1, d2), a, b = df, df[1] / 2, df[0] / 2
     x, y = d2 / (d2 + d1 * t), d1 * t / (d2 + d1 * t)
@@ -309,13 +312,13 @@ def _tail(df: tuple, t: np.ndarray) -> tuple:
                - math.lgamma(b))
     j = np.arange(1, (d1 if d1 % 2 == 0 else d2) // 2)
     if d1 % 2 == 0:
-        return x**a * _series((a + j - 1) / j, y), d
-    return 1.0 - y**b * _series((b + j - 1) / j, x), d
+        return _series(x**a, (a + j - 1) / j, y), d
+    return 1.0 - _series(y**b, (b + j - 1) / j, x), d
 
 
 @functools.cache
 def _critical_values(df: tuple, m: int, alpha: float):
-    """t_1 > ... > t_m, or None if the finite sums cannot place them within _BAND / 10."""
+    """t_1 > ... > t_m, or None if they cannot be placed within _BAND / 10."""
     p = alpha * np.arange(1, m + 1) / m
     with np.errstate(all="ignore"):
         hi = float(df[0]) if len(df) == 1 else 1.0
@@ -332,9 +335,11 @@ def _critical_values(df: tuple, m: int, alpha: float):
             t, last = np.where((step >= lo) & (step <= hi), step, (lo + hi) / 2), t
             if (np.abs(t - last) <= 1e-13 * last).all():
                 break
-    # the sums have positive terms, except that the F tail with d1 odd is
-    # 1 - P, which is good to about (d2 + 10) eps absolute
-    placed = len(df) == 1 or df[0] % 2 == 0 or ((df[1] + 10) * 2.0**-52 / d).max() <= _BAND / 10
+        # the last step bounds the error of a search that has settled; the
+        # sums have positive terms, except that the F tail with d1 odd is
+        # 1 - P, which is good to about (d2 + 10) eps absolute
+        placed = (np.abs(t - last) <= _BAND / 1000 * t).all() and np.isfinite(q).all() and (
+            len(df) == 1 or df[0] % 2 == 0 or ((df[1] + 10) * 2.0**-52 / d).max() <= _BAND / 10)
     t.flags.writeable = False  # one array serves every replicate of every run
     return t if placed else None
 
@@ -542,10 +547,9 @@ def monte_carlo(config: SimConfig, workers: int = 1) -> RejectionReport:
 
     Every configured method is run on the same stack within a
     replicate, mirroring how competing tests are compared on common
-    draws.  ANOVA and Kruskal-Wallis treat each column as its own
-    treatment (the no-column-effect family) with the family-wise rule
-    "reject iff the smallest adjusted p-value is below alpha", decided
-    from the statistics against critical values (see ``_score_rowwise``).
+    draws.  ANOVA and Kruskal-Wallis treat each column as its own treatment
+    (the no-column-effect family) with the rule "reject iff the smallest
+    adjusted p-value is below alpha", on critical values (``_score_rowwise``).
 
     Per-replicate failures (flagged results or errors) are excluded
     from the denominators and reported per method; the run aborts with

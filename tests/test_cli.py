@@ -1169,18 +1169,37 @@ def test_perfbench_tracer_runs_a_command(tmp_path):
         partition=GroupPartition.from_sizes((3,)),
         replicates=100, seed=1, methods=("proposed", "anova", "kw", "cq"),
     ).to_dict()))
+    # at 400 columns and alpha 1e-7 the finite sums cannot place the
+    # critical values (chi-square(399) loses terms to underflow, F(399, 1200)
+    # is 1 - P in its far tail), so every replicate takes the p-value path
+    wide = tmp_path / "wide_rowwise.json"
+    wide.write_text(json.dumps(SimConfig(
+        n_subjects=4, n_rows=2, n_cols=400,
+        scenario=NoiseScenario("normal"),
+        covariance=IdentityCovariance(),
+        mean=ZeroMean(),
+        partition=GroupPartition.from_sizes((400,)),
+        alpha=1e-7, replicates=100, seed=1, methods=("anova", "kw"),
+    ).to_dict()))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p
     )
+    pvalues = {"baselines.anova_rowwise", "baselines.kruskal_rowwise"}
     commands = (
-        (["test", str(data), "--partition", "sizes=2,2"], set()),
+        (["test", str(data), "--partition", "sizes=2,2"], set(), set()),
         # every layer span of a Monte Carlo run must still fire: a function
-        # the harness captured before the tracer wrapped it would not show
+        # the harness captured before the tracer wrapped it would not show.
+        # The harness decides the row-wise baselines from their statistics,
+        # so the p-value functions the tracer wraps are not called ...
         (["simulate", "--config", str(config)],
-         {"engine.mean_matrix_test", "baselines.pairwise_cq", "covariance.root_apply"}),
+         {"engine.mean_matrix_test", "baselines.pairwise_cq", "covariance.root_apply"},
+         pvalues),
+        # ... unless the p-value path decides, which reaches them through
+        # the module globals the tracer patches
+        (["simulate", "--config", str(wide)], pvalues, set()),
     )
-    for k, (args, expected) in enumerate(commands):
+    for k, (args, expected, absent) in enumerate(commands):
         spans = tmp_path / f"spans{k}.json"
         proc = subprocess.run(
             [sys.executable, str(root / "perfbench" / "tracer.py"), str(spans), "--",
@@ -1191,9 +1210,7 @@ def test_perfbench_tracer_runs_a_command(tmp_path):
         names = {span[2] for span in json.loads(spans.read_text())["spans"]}
         assert names
         assert expected <= names, expected - names
-        # the harness decides the row-wise baselines from their statistics,
-        # so the p-value functions the tracer wraps are not called
-        assert not names & {"baselines.anova_rowwise", "baselines.kruskal_rowwise"}
+        assert not names & absent, names & absent
 
 
 # ---------------------------------------------------------------------------

@@ -904,6 +904,14 @@ def test_native_tails_match_scipy():
         assert np.abs(q - chdtrc(nu, t)).max() < 1e-14, nu
 
 
+def test_native_tails_that_lose_a_term_are_nan():
+    # e^-750 is subnormal, and 1/j! is below the smallest normal float from
+    # j = 171 on, which chi-square(400) needs
+    assert np.isnan(simulate._tail((2,), np.array([1500.0]))[0]).all()
+    assert np.isnan(simulate._tail((400,), np.array([400.0]))[0]).all()
+    assert np.isfinite(simulate._tail((300,), np.array([300.0]))[0]).all()
+
+
 def test_critical_values_the_sums_cannot_place_are_not_used(monkeypatch):
     # 1 - P loses digits in the far tail of F with d1 odd; the positive sums do not
     assert simulate._critical_values((9, 990), 1, 1e-7) is None
@@ -918,6 +926,36 @@ def test_critical_values_the_sums_cannot_place_are_not_used(monkeypatch):
     monkeypatch.setattr(simulate, "anova_rowwise", lambda *a: calls.append(None) or real(*a))
     assert monte_carlo(cfg, workers=1).outcome("anova_bon").valid == 100
     assert len(calls) == 100
+
+
+@pytest.mark.parametrize("df, refused", [
+    ((400,), True), ((401,), True), ((300, 29700), True),
+    ((299,), False), ((300,), False), ((301,), False),
+])
+def test_critical_values_at_large_df_are_refused_or_within_the_band(df, refused):
+    # 1/j! and 1/(3 5 ... (nu - 2)) underflow near nu = 340 and 300, and
+    # C(a + j - 1, j) overflows for F(300, 29700) (anova at c = 301, N = 100):
+    # the lost terms are the largest ones at an upper-tail critical value
+    from scipy.special import chdtrc, fdtrc
+
+    def tail(t):
+        return fdtrc(*df, t) if len(df) == 2 else chdtrc(*df, t)
+
+    m, band = 1000, simulate._BAND / 10
+    t = simulate._critical_values(df, m, 0.05)
+    p = 0.05 * np.arange(1, m + 1) / m
+    assert t is None or ((tail(t * (1 + band)) < p).all() and (tail(t * (1 - band)) > p).all())
+    assert (t is None) == refused
+
+
+def test_critical_values_the_search_does_not_settle_are_not_used(monkeypatch):
+    # rounding in 1 - P keeps the last steps for F(19, 380) at 0.01 / 1000
+    # near a relative 5e-13, far inside the band: those values are kept
+    assert simulate._critical_values.__wrapped__((19, 380), 1000, 0.01) is not None
+    real = simulate._tail
+    # a derivative a million times too large makes every Newton step tiny
+    monkeypatch.setattr(simulate, "_tail", lambda df, t: (real(df, t)[0], real(df, t)[1] * 1e6))
+    assert simulate._critical_values.__wrapped__((9, 90), 10, 0.05) is None
 
 
 def _patched_statistic(monkeypatch, edit):
