@@ -133,10 +133,11 @@ def _vec_into(buf: np.ndarray, z: np.ndarray) -> np.ndarray:
     return v.reshape(n, c * r)
 
 
-# Every root's ``apply(z, scratch)`` overwrites the (n, r, c) noise ``z``
-# with the correlated stack and returns it, working in ``scratch``:
-# ``scratch_count`` flat float arrays of z.size entries.  A root holds no
-# buffers, so threads that each pass their own can share one.
+# Every root's ``apply(z, scratch)`` overwrites the C-ordered (n, r, c)
+# noise ``z`` with the correlated stack and returns it, working in z and in
+# ``scratch``: ``scratch_count`` flat float arrays of z.size entries, none
+# for the identity and one for every other root.  A root holds no buffers,
+# so threads that each pass their own can share one.
 
 
 class _IdentityRoot:
@@ -147,7 +148,7 @@ class _IdentityRoot:
 
 
 class _KroneckerRoot:
-    scratch_count = 2
+    scratch_count = 1
 
     def __init__(self, row_root, col_root):
         self.row_root = row_root
@@ -155,29 +156,37 @@ class _KroneckerRoot:
 
     def apply(self, z, scratch):
         n, r, c = z.shape
-        zt, rz = scratch
-        zb = zt.reshape(r, n, c)
+        (s,) = scratch
+        zb = s.reshape(r, n, c)
         np.copyto(zb, z.transpose(1, 0, 2))
-        w = np.matmul(self.row_root, zb.reshape(r, n * c), out=rz.reshape(r, n * c))
-        return np.matmul(w.reshape(r, n, c).transpose(1, 0, 2), self.col_root, out=z)
+        # z is free once transposed: the row product goes there, the column
+        # product back into the scratch, and the result is copied home
+        w = np.matmul(self.row_root, zb.reshape(r, n * c), out=z.reshape(r, n * c))
+        np.copyto(z, np.matmul(w.reshape(r, n, c).transpose(1, 0, 2), self.col_root,
+                               out=s.reshape(n, r, c)))
+        return z
 
 
 class _BlockRoot:
-    scratch_count = 2
+    scratch_count = 1
 
     def __init__(self, offsets_roots):
         self.offsets_roots = offsets_roots
 
     def apply(self, z, scratch):
         n, r, c = z.shape
-        vs, ws = scratch
-        v = _vec_into(vs, z)
-        w = ws.reshape(v.shape)
+        (s,) = scratch
+        v = _vec_into(s, z)
+        # z is free once vectorized: the products go there in vec order, are
+        # reordered into the scratch and copied home
+        w = z.reshape(v.shape)
         for off, root in self.offsets_roots:
             d = root.shape[0]
             # roots are symmetric, so right-multiplication applies them
             np.matmul(v[:, off : off + d], root, out=w[:, off : off + d])
-        np.copyto(z, w.reshape(n, c, r).transpose(0, 2, 1))
+        y = s.reshape(n, r, c)
+        np.copyto(y, w.reshape(n, c, r).transpose(0, 2, 1))
+        np.copyto(z, y)
         return z
 
 
@@ -329,18 +338,18 @@ class CompoundCovariance(_Record, kind="compound"):
     """Exchangeable covariance on vec(X): (1-rho) I + rho J at any size.
 
     The root has the closed form a I + b J, so sampling is O(n r c)
-    and no dimension cap applies.  Requires rho in (-1/(rc-1), 1).
+    and no dimension cap applies.  Requires rho in (-1/(rc-1), 1), or
+    rho < 1 when rc = 1.
     """
 
     rho: float
 
     def check_dims(self, r: int, c: int) -> None:
         d = r * c
-        if not -1.0 / (d - 1) < self.rho < 1.0:
-            raise ValueError(
-                f"compound rho must lie in (-1/(rc-1), 1) for rc = {d}, "
-                f"got {self.rho}"
-            )
+        # at rc = 1 the matrix is [1] for every rho, so only rho < 1 is checked
+        if not (-1.0 / (d - 1) if d > 1 else float("-inf")) < self.rho < 1.0:
+            bounds = "(-1/(rc-1), 1)" if d > 1 else "(-inf, 1)"
+            raise ValueError(f"compound rho must lie in {bounds} for rc = {d}, got {self.rho}")
 
     def materialize(self, r: int, c: int) -> np.ndarray:
         self.check_dims(r, c)
@@ -364,11 +373,12 @@ def _guard_dense(dim: int) -> None:
 def sqrt_factor(spec, r: int, c: int):
     """Sampling root of a covariance spec.
 
-    The returned object's ``apply(z, scratch)`` overwrites an (n, r, c)
-    stack ``z`` of iid unit-variance noise with a stack that has
+    The returned object's ``apply(z, scratch)`` overwrites a C-ordered
+    (n, r, c) stack ``z`` of iid unit-variance noise with a stack that has
     covariance ``spec`` on each vec(X), and returns ``z``.  ``scratch``
-    is a sequence of ``scratch_count`` flat arrays of n*r*c floats that
-    it works in, so it allocates nothing.
+    is a sequence of ``scratch_count`` flat arrays of n*r*c floats (none
+    for the identity, one for every other spec); it works in them and in
+    ``z``, so it allocates nothing.
     """
     return spec.root(r, c)
 

@@ -244,13 +244,18 @@ def mean_matrix_test(
     stack: DataStack,
     partition: GroupPartition,
     alpha: float = 0.05,
+    *,
+    out: np.ndarray | None = None,
 ) -> TestResult:
     """Test whether column means coincide within each group.
 
     Columns in singleton groups are removed first; they cannot move
     the statistic and only sit outside every comparison.  A grouping of
     the rows is tested as ``mean_matrix_test(stack.transposed(),
-    partition)``.
+    partition)``.  ``out``, a flat float array of at least N*r*c
+    entries, is where the centred data are written (see
+    ``ProjectionMatrix.apply``); it is a buffer, not a setting, and the
+    result is the same without it.
 
     Returns a TestResult; when the projected data are fully degenerate
     (for example identical subjects with group-constant columns) or
@@ -258,7 +263,7 @@ def mean_matrix_test(
     instead of a statistic.
     """
     work, partition, dropped = drop_singletons(stack, partition)
-    gram = compute_gram(work, build_projection(partition))
+    gram = _gram(build_projection(partition).apply(work.values, out=out))
     return _gram_results(
         gram, alpha, r_used=work.n_rows, c_used=work.n_cols, dropped_columns=dropped,
     )[0]

@@ -13,9 +13,9 @@ threads.  The calling thread is worker 0: it runs replicate 0 alone,
 filling the cache of row-wise critical values, then ``workers - 1``
 helpers take the remaining replicates alongside it.  Each worker builds
 its stacks in one set of buffers that lives for the whole run: N*r*c
-floats for the stack, plus the same again for each scratch array the
-covariance root needs (none for the identity, one for compound symmetry,
-two otherwise).
+floats for the stack, plus the same again for the one scratch array that
+every covariance root but the identity needs; the proposed test centres
+the data into that array once the stack is built.
 """
 
 from __future__ import annotations
@@ -254,11 +254,13 @@ _Mean = ZeroMean | RightBlockMean | SparseMean | MultiplicativeMean
 # ---------------------------------------------------------------------------
 # methods scored on every replicate
 #
-# A scorer takes (stack, config, per-column partition) and gives one
+# A scorer takes (stack, config, per-column partition, spare) and gives one
 # verdict per outcome column of its method: True (reject), False (accept)
-# or None (failed).  Scorers name the tests in their bodies, so the tests
-# are looked up as module globals at call time and a wrapper installed on
-# this module sees every call.
+# or None (failed).  ``spare`` is a flat array of N*r*c floats that the
+# scorer may overwrite, or None when the worker has none to lend.  Scorers
+# name the tests in their bodies, so the tests are looked up as module
+# globals at call time and a wrapper installed on this module sees every
+# call.
 
 
 def _family_verdicts(raw, alpha: float) -> tuple:
@@ -268,8 +270,8 @@ def _family_verdicts(raw, alpha: float) -> tuple:
     )
 
 
-def _score_proposed(stack, cfg, per_column) -> tuple:
-    return (mean_matrix_test(stack, cfg.partition, alpha=cfg.alpha).reject,)
+def _score_proposed(stack, cfg, per_column, spare=None) -> tuple:
+    return (mean_matrix_test(stack, cfg.partition, alpha=cfg.alpha, out=spare).reject,)
 
 
 # The row-wise baselines are decided on their statistics, without p-values.
@@ -353,15 +355,15 @@ def _score_rowwise(statistic, rowwise, stack, cfg, per_column) -> tuple:
     return bool((s > t).any()), bool(s[0] > t[0])
 
 
-def _score_anova(stack, cfg, per_column) -> tuple:
+def _score_anova(stack, cfg, per_column, spare=None) -> tuple:
     return _score_rowwise(_anova_statistic, anova_rowwise, stack, cfg, per_column)
 
 
-def _score_kw(stack, cfg, per_column) -> tuple:
+def _score_kw(stack, cfg, per_column, spare=None) -> tuple:
     return _score_rowwise(_kruskal_statistic, kruskal_rowwise, stack, cfg, per_column)
 
 
-def _score_cq(stack, cfg, per_column) -> tuple:
+def _score_cq(stack, cfg, per_column, spare=None) -> tuple:
     return (pairwise_cq_procedure(stack, alpha=cfg.alpha).reject,)
 
 
@@ -574,11 +576,13 @@ def monte_carlo(config: SimConfig, workers: int = 1) -> RejectionReport:
     def run_one(k: int, buffers) -> None:
         rng = replicate_rng(config.seed, k)
         stack = gen_stack(config, rng, root=root, mean=mean, buffers=buffers)
+        # the root's scratch is free until the next stack is drawn
+        spare = buffers[1] if len(buffers) > 1 else None
         row = []
         for method in config.methods:
             columns, score = _METHODS[method]
             try:
-                row.extend(score(stack, config, per_column))
+                row.extend(score(stack, config, per_column, spare))
             except (ValueError, FloatingPointError, np.linalg.LinAlgError):
                 row.extend((None,) * len(columns))
         verdicts[k] = row

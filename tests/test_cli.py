@@ -797,6 +797,22 @@ def test_simulate_config_error_names_its_path(tmp_path, capsys, changes, expecte
     assert err == f"error: {path}: {expected}\n"
 
 
+@pytest.mark.parametrize("rho, expected", [
+    (0.3, "method 'proposed' failed on 100 of 100 replicates; aborting the run"),
+    (1.5, "{path}: compound rho must lie in (-inf, 1) for rc = 1, got 1.5"),
+], ids=["valid", "rho-above-1"])
+def test_simulate_one_entry_compound_config_ends_in_one_error_line(tmp_path, capsys, rho,
+                                                                   expected):
+    # a 1 x 1 matrix has no column contrast to test, so even a valid run aborts
+    raw = json.loads(_method_config(tmp_path / "good.json", ("proposed",)).read_text())
+    raw.update(n_rows=1, n_cols=1, partition=[1], covariance={"kind": "compound", "rho": rho})
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(raw))
+    code, report, err = _run(["simulate", "--config", str(path)], capsys)
+    assert code == 1 and report is None
+    assert err == f"error: {expected.format(path=path)}\n"
+
+
 def test_simulate_outcome_without_a_valid_replicate_is_null_and_nan(
         tmp_path, monkeypatch, capsys):
     # the harness aborts before a method fails on every replicate, so the

@@ -200,11 +200,13 @@ def test_projection_apply_equals_gather_expression_bytes(partition):
     proj = ProjectionMatrix(partition)
     for shape in ((6, 10), (4, 7, 10), (10, 100, 10)):
         x = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
-        for arr in (x, np.asfortranarray(x)):
-            got = proj.apply(arr)
+        for arr, out in ((x, None), (np.asfortranarray(x), None),
+                         (x, np.full(x.size + 3, np.nan))):
+            got = proj.apply(arr, out=out)
             expected = _gather_apply(partition, arr)
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+            assert out is None or np.shares_memory(got, out)
 
 
 @pytest.mark.parametrize("error, call, message", [

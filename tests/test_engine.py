@@ -263,6 +263,20 @@ def test_singleton_columns_are_dropped_and_recorded():
     assert res.statistic == pytest.approx(direct.statistic, rel=1e-12)
 
 
+@pytest.mark.parametrize("labels", ["aaabb", "ababa", "azabb"],
+                         ids=["runs", "interleaved", "singleton"])
+def test_mean_matrix_test_into_a_given_array_equals_fresh(labels):
+    rng = np.random.default_rng(38)
+    stack = _random_stack(rng, 8, 10, 5, mean=rng.uniform(-1, 1, (10, 5)))
+    part = GroupPartition.from_labels(labels)
+    spare = np.full(stack.values.size + 7, np.nan)
+    got = mean_matrix_test(stack, part, out=spare)
+    assert json.dumps(got.to_dict()) == json.dumps(mean_matrix_test(stack, part).to_dict())
+    # the centred data went into the spare, and nothing past them
+    used = 8 * 10 * got.c_used
+    assert np.isfinite(spare[:used]).all() and np.isnan(spare[used:]).all()
+
+
 def test_result_json_form_is_pinned():
     result = Result(
         statistic=1.5, p_value=0.0668, deviation_est=2.0, trace_cov_sq=4.0,

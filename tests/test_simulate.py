@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -111,6 +112,20 @@ def test_compound_covariance_materialize_and_root_agree():
         assert np.allclose(fast[i], direct, atol=1e-10)
     with pytest.raises(ValueError):
         CompoundCovariance(rho=1.0).check_dims(4, 3)
+
+
+@pytest.mark.parametrize("rho", [0.3, -5.0])
+def test_compound_covariance_of_one_entry_is_one(rho):
+    # at r = c = 1 the matrix is [1] whatever rho is, so only rho < 1 is checked
+    cov = CompoundCovariance(rho=rho)
+    cov.check_dims(1, 1)
+    assert np.allclose(cov.materialize(1, 1), [[1.0]])
+    z = np.random.default_rng(74).standard_normal((5, 1, 1))
+    assert np.allclose(_applied(cov.root(1, 1), z), z)
+    bad = CompoundCovariance(rho=1.5)
+    for call in (bad.check_dims, bad.materialize, bad.root):
+        with pytest.raises(ValueError, match=r"\(-inf, 1\) for rc = 1, got 1.5"):
+            call(1, 1)
 
 
 def test_block_diagonal_root_matches_dense_root():
@@ -481,6 +496,35 @@ def test_root_apply_into_out_and_scratch_equals_fresh_apply(covariance):
     assert over.tobytes() == fresh.tobytes()
 
 
+def _two_scratch_apply(root, z):
+    """The Kronecker and block roots as two-scratch products: the same
+    matmuls on the same operand layouts, each into a fresh array."""
+    n, r, c = z.shape
+    if hasattr(root, "row_root"):
+        zb = np.ascontiguousarray(z.transpose(1, 0, 2)).reshape(r, n * c)
+        w = np.matmul(root.row_root, zb, out=np.empty((r, n * c)))
+        return np.matmul(w.reshape(r, n, c).transpose(1, 0, 2), root.col_root,
+                         out=np.empty((n, r, c)))
+    v = np.ascontiguousarray(z.transpose(0, 2, 1)).reshape(n, c * r)
+    w = np.empty((n, c * r))
+    for off, block in root.offsets_roots:
+        d = block.shape[0]
+        np.matmul(v[:, off : off + d], block, out=w[:, off : off + d])
+    return np.ascontiguousarray(w.reshape(n, c, r).transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("covariance", [
+    KroneckerCovariance(Ar1Factor(7, 0.5), CompoundFactor(3)),
+    BlockDiagonalCovariance((Ar1Factor(7, 0.3), CompoundFactor(7, 0.2), Ar1Factor(7, 0.3))),
+    DenseCovariance(0.6 * np.eye(21) + 0.4 * np.ones((21, 21))),
+], ids=lambda cov: cov.to_dict()["kind"])
+def test_one_scratch_root_equals_two_scratch_products(covariance):
+    root = sqrt_factor(covariance, 7, 3)
+    assert root.scratch_count == 1
+    z = np.random.default_rng(87).standard_normal((5, 7, 3))
+    assert _applied(root, z).tobytes() == _two_scratch_apply(root, z).tobytes()
+
+
 @pytest.mark.parametrize("scenario", ["normal", "gamma", "mixture"])
 @pytest.mark.parametrize("covariance", _ROOT_COVARIANCES, ids=lambda cov: cov.to_dict()["kind"])
 def test_gen_stack_with_reused_buffers_equals_fresh_stacks(covariance, scenario):
@@ -766,7 +810,7 @@ def test_monte_carlo_raises_what_a_helper_replicate_raises(monkeypatch):
     real = simulate.mean_matrix_test
     caller_calls = []
 
-    def scorer(stack, partition, alpha):
+    def scorer(stack, partition, alpha, out=None):
         if threading.get_ident() != caller:
             raised.set()
             raise RuntimeError("injected on a helper")
@@ -775,7 +819,7 @@ def test_monte_carlo_raises_what_a_helper_replicate_raises(monkeypatch):
         if caller_calls:
             raised.wait(timeout=30)
         caller_calls.append(None)
-        return real(stack, partition, alpha=alpha)
+        return real(stack, partition, alpha=alpha, out=out)
 
     monkeypatch.setattr(simulate, "mean_matrix_test", scorer)
     threads = threading.active_count()
@@ -784,6 +828,26 @@ def test_monte_carlo_raises_what_a_helper_replicate_raises(monkeypatch):
     assert raised.is_set()
     # the helpers are joined before the error leaves monte_carlo
     assert threading.active_count() == threads
+
+
+def test_monte_carlo_worker_holds_the_stack_and_one_scratch_array():
+    # each worker's stack and root scratch; the proposed test centres into
+    # the scratch, so no third stack-sized array is live while it runs
+    cfg = _config(n_subjects=10, n_rows=100, n_cols=100, replicates=100,
+                  scenario=NoiseScenario("mixture"),
+                  covariance=KroneckerCovariance(Ar1Factor(100, 0.5), CompoundFactor(100)),
+                  partition=GroupPartition.from_sizes((70, 30)))
+    monte_carlo(cfg)  # what the first replicate loads stays loaded
+    for workers, bound in ((1, 3.0), (2, 5.5)):
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            monte_carlo(cfg, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * 10 * 100 * 100, (workers, peak / 8e5)
 
 
 def test_monte_carlo_minimum_replicates():
