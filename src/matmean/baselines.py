@@ -35,7 +35,8 @@ import numpy as np
 from .core import DataStack, GroupPartition
 # trace_cov_sq_fast is not called here, but perfbench/tracer.py wraps it by name
 from .engine import (MIN_SUBJECTS, TestResult, _gram, _one_sample_terms, _standardize,
-                     trace_cov_sq_fast)
+                     _z_scores, trace_cov_sq_fast)
+from .normal import ndtr
 
 __all__ = [
     "PairwiseCqSummary",
@@ -263,21 +264,14 @@ def _cross_trace_estimate(cross: np.ndarray) -> np.ndarray:
     return t1 - t2a - t2b + t3
 
 
-def _cq_results(
-    within_a, within_b, cross: np.ndarray, dim: int, alpha: float
-) -> list[TestResult]:
-    """Two-sample tests from per-group terms and a batch of cross grams.
-
-    Terms that overflow are left non-finite, without a warning: the
-    result reports them as a failure.
-    """
+def _cq_terms(within_a, within_b, cross: np.ndarray) -> tuple:
+    """Location and plug-in variance of two-sample tests from per-group terms and
+    a batch of cross grams; an overflow is left non-finite, without a warning."""
     (loc_a, _, var_a), (loc_b, _, var_b) = within_a, within_b
     n1, n2 = cross.shape[-2:]
     with np.errstate(over="ignore", invalid="ignore"):
         loc = loc_a + loc_b - 2.0 * cross.sum(axis=(-2, -1)) / (n1 * n2)
-        var = var_a + var_b + 4.0 * _cross_trace_estimate(cross) / (n1 * n2)
-    return _standardize(loc, var, var, dim, alpha, "plug-in variance",
-                        n_used=n1 + n2, c_used=2)
+        return loc, var_a + var_b + 4.0 * _cross_trace_estimate(cross) / (n1 * n2)
 
 
 def chen_qin_two_sample(group1, group2, alpha: float = 0.05) -> TestResult:
@@ -305,8 +299,9 @@ def chen_qin_two_sample(group1, group2, alpha: float = 0.05) -> TestResult:
         raise ValueError(f"each group needs at least {MIN_SUBJECTS} vectors")
     with np.errstate(over="ignore", invalid="ignore"):
         cross = x @ y.T
-    terms = _one_sample_terms(_gram(x)), _one_sample_terms(_gram(y))
-    return _cq_results(*terms, cross, x.shape[1], alpha)[0]
+    loc, var = _cq_terms(_one_sample_terms(_gram(x)), _one_sample_terms(_gram(y)), cross)
+    return _standardize(loc, var, var, x.shape[1], alpha, "plug-in variance",
+                        n_used=x.shape[0] + y.shape[0], c_used=2)[0]
 
 
 @dataclass(frozen=True)
@@ -339,7 +334,7 @@ def pairwise_cq_procedure(stack: DataStack, alpha: float = 0.05) -> PairwiseCqSu
     between columns is deliberately ignored; that is the procedure
     under study).  One big gram over all column vectors feeds every
     pair, each column's own terms are computed once, and all pairs are
-    scored in one batched call.
+    standardized in one batched step, with no per-pair result.
     """
     n, r, c = stack.values.shape
     if n < MIN_SUBJECTS:
@@ -352,9 +347,12 @@ def pairwise_cq_procedure(stack: DataStack, alpha: float = 0.05) -> PairwiseCqSu
     cols = np.arange(c)
     within = _one_sample_terms(big[cols, :, cols, :])
     ia, ib = np.triu_indices(c, 1)
-    results = _cq_results([t[ia] for t in within], [t[ib] for t in within],
-                          big[ia, :, ib, :], r, alpha)
-    raw = np.array([res.p_value for res in results])
+    # z and failures for every pair at once, and a tail only where a pair ran
+    loc, var = _cq_terms([t[ia] for t in within], [t[ib] for t in within], big[ia, :, ib, :])
+    z, failed = _z_scores(loc, var, var, alpha)
+    ok = failed == 0
+    raw = np.full(z.size, np.nan)
+    raw[ok] = [ndtr(-v) for v in z[ok].tolist()]
     adjusted = adjust_pvalues(raw, "bonferroni", family=raw.size)
     valid = ~np.isnan(adjusted)
     return PairwiseCqSummary(
@@ -363,6 +361,6 @@ def pairwise_cq_procedure(stack: DataStack, alpha: float = 0.05) -> PairwiseCqSu
         adjusted=tuple(adjusted.tolist()),
         alpha=alpha,
         reject=bool((adjusted[valid] < alpha).any()) if valid.any() else None,
-        failed_pairs=tuple(k for k, res in enumerate(results) if not res.ok),
+        failed_pairs=tuple(np.flatnonzero(failed).tolist()),
         failure=None if valid.any() else "every pair test failed",
     )

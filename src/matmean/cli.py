@@ -11,6 +11,11 @@ writes the CSV if a path was given, then, on a failure or an operational
 error, one ``error:`` line to stderr.  A rejected hypothesis is an
 ordinary result, so the exit status is 0 for any completed run and 1 only
 for operational failures.
+
+Each command loads only what it runs: ``test`` the modules ``io``, ``core``
+and ``engine``, ``screen`` and ``discover`` also ``baselines``, and
+``simulate`` no ``io`` but ``simulate``, ``presets``, ``covariance`` and
+``baselines``; the entry points load through ``__getattr__`` on first use.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import numpy as np
 
 from . import DEFAULT_REPLICATES, PRESET_NAMES
 from . import __getattr__ as _exported
-from .baselines import adjust_pvalues
 from .core import GroupPartition, RunAborted
 from .engine import (
     discover_structure,
@@ -34,15 +38,18 @@ from .engine import (
     test_known_difference,
     test_known_matrix,
 )
-from .io import LoadedStack, load_stack, read_matrix_file, read_vector_file, read_row_sets
 
 SCHEMA_VERSION = 1
+
+# this module: the commands look up their entry points on it when they run,
+# so that a wrapper set on it from outside is the one called
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name):
     # PEP 562: a name not defined here resolves through the package's export
-    # table, so build_preset and monte_carlo load their modules on first use,
-    # and only the simulate command loads them
+    # table, so the entry points the commands call load their modules on
+    # first use, and only the commands that call them load them
     return _exported(name, __name__)
 
 
@@ -65,7 +72,7 @@ def _jsonable(obj):
     return obj
 
 
-def _data_block(loaded: LoadedStack, path: str, orientation: str) -> dict:
+def _data_block(loaded, path: str, orientation: str) -> dict:
     block = {
         "path": path,
         "format": loaded.source_format,
@@ -165,7 +172,9 @@ def cmd_test(args) -> tuple[dict, str | None, str | None]:
             "choose exactly one hypothesis mode: --partition, --m0, "
             "or --known-difference"
         )
-    loaded = load_stack(args.data)
+    from .io import read_matrix_file, read_vector_file
+
+    loaded = _cli.load_stack(args.data)
     rows = args.orientation == "rows"
     # ids of the columns in testing orientation
     unit_ids = loaded.row_ids if rows else loaded.col_ids
@@ -223,10 +232,10 @@ def cmd_test(args) -> tuple[dict, str | None, str | None]:
 
 
 def cmd_screen(args) -> tuple[dict, str | None, str | None]:
-    loaded = load_stack(args.data)
+    loaded = _cli.load_stack(args.data)
     stack = loaded.stack
     partition = parse_partition_spec(args.partition, loaded.col_ids)
-    sets = read_row_sets(args.sets)
+    sets = _cli.read_row_sets(args.sets)
     row_index = {rid: k for k, rid in enumerate(loaded.row_ids)}
 
     tested = []  # (name, indices)
@@ -252,7 +261,7 @@ def cmd_screen(args) -> tuple[dict, str | None, str | None]:
     ) if tested else []
     # the family is the sets that ran; a failed set's p-values are NaN
     p = np.array([result.p_value for result in results])
-    adjusted = adjust_pvalues(p, args.correction).tolist()
+    adjusted = _cli.adjust_pvalues(p, args.correction).tolist()
     entries = [
         {
             "name": name,
@@ -289,7 +298,7 @@ def cmd_screen(args) -> tuple[dict, str | None, str | None]:
 
 
 def cmd_discover(args) -> tuple[dict, str | None, str | None]:
-    loaded = load_stack(args.data)
+    loaded = _cli.load_stack(args.data)
     trace = discover_structure(loaded.stack, alpha=args.alpha)
     report = {"alpha": args.alpha, "warnings": [],
               "data": _data_block(loaded, args.data, "columns"),
@@ -328,12 +337,9 @@ def cmd_simulate(args) -> tuple[dict, str | None, str | None]:
     from .presets import parse_cell_filter
     from .simulate import RejectionReport, SimConfig
 
-    # looked up on the module, so that a wrapper set on it from outside is
-    # the one called
-    cli = sys.modules[__name__]
     if args.preset is not None:
         seed = 0 if args.seed is None else args.seed
-        cells = cli.build_preset(args.preset, reps=args.reps, seed=seed)
+        cells = _cli.build_preset(args.preset, reps=args.reps, seed=seed)
         if args.cell:
             filters = parse_cell_filter(args.cell)
             cells = tuple(c for c in cells if c.matches(filters))
@@ -345,7 +351,7 @@ def cmd_simulate(args) -> tuple[dict, str | None, str | None]:
         for cell in cells:
             runs = []
             for run in cell.runs:
-                rep = cli.monte_carlo(run.config, workers=args.workers)
+                rep = _cli.monte_carlo(run.config, workers=args.workers)
                 csv_lines.extend(rep.csv_rows(*_preset_coordinates(cell, run)))
                 runs.append({"kind": run.kind, "partition": run.partition_label,
                              "seed": run.config.seed, **rep.to_dict()})
@@ -379,7 +385,7 @@ def cmd_simulate(args) -> tuple[dict, str | None, str | None]:
         config = dataclasses.replace(config, replicates=args.reps)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    rep = cli.monte_carlo(config, workers=args.workers)
+    rep = _cli.monte_carlo(config, workers=args.workers)
     report = {"alpha": config.alpha, "warnings": [], "mode": "config",
               "config_path": args.config, "csv_path": args.csv_path, "report": rep.to_dict()}
     return report, rep.to_csv(), None

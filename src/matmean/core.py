@@ -143,9 +143,9 @@ class ProjectionMatrix:
         """``x @ values`` for x of shape (..., c), at O(x.size) cost.
 
         Subtracts from every column the mean of its group's columns,
-        along the last axis.  When each group is a run of adjacent
-        columns, the group sums are taken on ``x`` itself and each mean
-        is subtracted from its run, so one array is allocated.  ``out``,
+        along the last axis.  The sums are taken on ``x`` itself when each
+        group is a run of adjacent columns, else on a copy of one group's
+        columns at a time, and the result is the one full array.  ``out``,
         a flat float array of at least x.size entries that does not
         overlap ``x``, receives the result in place of that array; the
         values are the same either way.
@@ -161,9 +161,17 @@ class ProjectionMatrix:
         starts = np.cumsum(sizes) - sizes
         out = out if out is None else out[: x.size].reshape(x.shape)
         if (np.diff(labels) < 0).any():
+            # one group at a time: its columns are gathered once, summed as
+            # a segment of the columns sorted by group, centred in place and
+            # scattered into the result
+            out = np.empty(x.shape) if out is None else out
             order = np.argsort(labels, kind="stable")
-            means = np.add.reduceat(x[..., order], starts, axis=-1) / sizes
-            return np.subtract(x, means[..., labels], out=out)
+            for cols, size in zip(np.split(order, starts[1:]), sizes.tolist()):
+                group = np.take(x, cols, axis=-1)
+                group -= np.add.reduceat(group, [0], axis=-1) / size
+                out[..., cols] = group
+                del group  # before the next group is gathered
+            return out
         means = np.add.reduceat(x, starts, axis=-1) / sizes
         # the result is allocated after the small means: allocated before
         # them it raised the peak RSS of a two-worker table2 run by 0.3 MB

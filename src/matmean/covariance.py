@@ -285,14 +285,17 @@ class BlockDiagonalCovariance(_Record, kind="block_diagonal"):
 
     def root(self, r: int, c: int) -> _BlockRoot:
         self.check_dims(r, c)
-        # one root per factor object: blocks that share a factor share its root
+        # one root per distinct factor: equal ar1 or compound factors, which
+        # are frozen and hash by value, share one; a dense factor holds an
+        # array, so only blocks that are the same object share its root
         roots = {}
         offsets_roots = []
         off = 0
         for i, b in enumerate(self.blocks):
-            if id(b) not in roots:
-                roots[id(b)] = _spd_root(b.build(), f"block {i + 1}")
-            offsets_roots.append((off, roots[id(b)]))
+            key = id(b) if isinstance(b, DenseFactor) else b
+            if key not in roots:
+                roots[key] = _spd_root(b.build(), f"block {i + 1}")
+            offsets_roots.append((off, roots[key]))
             off += b.dim
         return _BlockRoot(offsets_roots)
 

@@ -186,37 +186,40 @@ def _gram_size(gram: np.ndarray, minimum: int) -> int:
     return n
 
 
-def _standardize(
-    dev, tsq, var, r_used, alpha: float, nonpositive: str, **common
-) -> list[TestResult]:
-    """One-sided z-tests, z = dev / sqrt(var), for a batch of estimates.
+def _z_scores(dev, tsq, var, alpha: float) -> tuple:
+    """z = dev / sqrt(var) and each test's failure, for a batch of estimates.
 
-    ``tsq`` is the variance-scale estimate reported as ``trace_cov_sq``
-    and ``r_used`` may differ per test.  A non-finite estimate or a
-    nonpositive ``tsq`` or ``var`` gives a failure instead of a
-    statistic, so overflow never passes as a NaN that does not reject.
+    The failure is 0 for none, 1 for a nonpositive ``tsq`` or ``var`` and 2
+    for a non-finite estimate or z, so overflow never passes as a NaN that
+    does not reject.  ``alpha``, at which the tests decide, is checked here.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    dev, tsq, var, r_used = np.broadcast_arrays(dev, tsq, var, r_used)
+    dev, tsq, var = np.broadcast_arrays(dev, tsq, var)
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = dev / np.sqrt(var)
+    finite = np.isfinite(dev) & np.isfinite(tsq) & np.isfinite(var)
+    unstable = finite & ((tsq <= 0.0) | (var <= 0.0))
+    return stat, np.where(unstable, 1, np.where(finite & np.isfinite(stat), 0, 2))
+
+
+def _standardize(
+    dev, tsq, var, r_used, alpha: float, nonpositive: str, **common
+) -> list[TestResult]:
+    """A result per estimate of a batch, decided by ``_z_scores``; ``tsq`` is
+    reported as ``trace_cov_sq``, and ``r_used`` may differ per test."""
+    stat, failed = _z_scores(dev, tsq, var, alpha)
+    messages = (None, f"unstable variance estimate (nonpositive {nonpositive})",
+                "non-finite estimate (floating-point overflow)")
     results = []
-    for d, t, v, z, r in zip(
-        *(a.ravel().tolist() for a in (dev, tsq, var, stat, r_used))
-    ):
-        finite = math.isfinite(d) and math.isfinite(t) and math.isfinite(v)
-        failure = None
-        if finite and (t <= 0.0 or v <= 0.0):
-            failure = f"unstable variance estimate (nonpositive {nonpositive})"
-        elif not (finite and math.isfinite(z)):
-            failure = "non-finite estimate (floating-point overflow)"
-        ok = failure is None
+    for d, t, z, f, r in zip(*(a.ravel().tolist() for a in np.broadcast_arrays(
+            dev, tsq, stat, failed, r_used))):
+        ok = f == 0
         p = ndtr(-z) if ok else math.nan
         results.append(TestResult(
             statistic=z if ok else math.nan, p_value=p,
             deviation_est=d, trace_cov_sq=t, r_used=r, orientation="columns",
-            alpha=alpha, reject=p < alpha if ok else None, failure=failure, **common,
+            alpha=alpha, reject=p < alpha if ok else None, failure=messages[f], **common,
         ))
     return results
 

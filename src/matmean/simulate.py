@@ -25,7 +25,6 @@ import math
 import threading
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -210,7 +209,10 @@ class SparseMean(_Record, kind="sparse"):
 
     def nonzero_count(self, r: int) -> int:
         # the fraction is a decimal by intent; going through its repr
-        # avoids binary-float residue like ceil(0.01 * 1000) == 11
+        # avoids binary-float residue like ceil(0.01 * 1000) == 11.  Only a
+        # sparse mean needs exact arithmetic, so only it loads fractions
+        from fractions import Fraction
+
         return int(math.ceil((1 - Fraction(str(self.zero_fraction))) * r))
 
     def build(self, r: int, c: int, sigma) -> np.ndarray:

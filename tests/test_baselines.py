@@ -450,3 +450,32 @@ def test_pairwise_cq_validation():
         pairwise_cq_procedure(DataStack(rng.standard_normal((3, 10, 4))))
     with pytest.raises(ValueError):
         pairwise_cq_procedure(DataStack(rng.standard_normal((8, 10, 1))))
+
+
+def test_pairwise_cq_with_some_pairs_failing():
+    # every pair through column 2 overflows; the other pairs run as usual,
+    # and the Bonferroni family is every pair, the failed ones included
+    rng = np.random.default_rng(65)
+    vals = rng.standard_normal((8, 20, 5))
+    vals[:, :, 2] *= 1e160
+    stack = DataStack(vals)
+    summary = pairwise_cq_procedure(stack)
+    through = [k for k, pair in enumerate(summary.pairs) if 2 in pair]
+    assert len(summary.pairs) == 10 and through == [1, 4, 7, 8]
+    assert summary.failed_pairs == tuple(through) and summary.ok
+    for k, ((a, b), p_raw, p_adj) in enumerate(
+            zip(summary.pairs, summary.p_values, summary.adjusted)):
+        if k in through:
+            assert np.isnan(p_raw) and np.isnan(p_adj)
+            continue
+        direct = chen_qin_two_sample(stack.values[:, :, a], stack.values[:, :, b])
+        assert direct.ok and p_raw == pytest.approx(direct.p_value, rel=1e-10)
+        assert p_adj == min(1.0, p_raw * 10)
+    assert summary.reject == any(p < summary.alpha for p in summary.adjusted if p == p)
+    # a column of ones against a column of zeros has a location of r and a
+    # variance of exactly 0: z is infinite, and the pair fails with no p-value
+    vals = rng.standard_normal((8, 20, 4))
+    vals[:, :, 0], vals[:, :, 1] = 1.0, 0.0
+    summary = pairwise_cq_procedure(DataStack(vals))
+    assert summary.failed_pairs == (0,) and np.isnan(summary.p_values[0])
+    assert not np.isnan(summary.p_values[1:]).any()

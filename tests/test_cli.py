@@ -1109,6 +1109,51 @@ def test_cli_resolves_the_monte_carlo_entry_points_through_the_package():
     )
 
 
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # the CLI loads the file reader and the baselines only for the commands
+    # that call them; a simulate run reads no file, and only a sparse mean
+    # needs the exact arithmetic of fractions
+    script = (
+        "import contextlib, io, sys\n"
+        "import matmean.cli\n"
+        "def absent(*names):\n"
+        "    loaded = [m for m in names if m in sys.modules]\n"
+        "    assert not loaded, loaded\n"
+        "def run(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert matmean.cli.main(argv) == 0, argv\n"
+        "absent('matmean.io', 'matmean.baselines')\n"
+    )
+    table4 = ["simulate", "--preset", "table4", "--cell", "r=10,c=100,N=10", "--reps", "100"]
+    table2 = ["simulate", "--preset", "table2", "--cell", "N=10,zeros=0.5", "--reps", "100"]
+    _run_fresh(script + f"run({table4!r})\n"
+               "absent('matmean.io', 'fractions')\n"
+               f"run({table2!r})\n"
+               "assert 'fractions' in sys.modules\n")
+    _run_fresh(script + f"run({_no_scipy_argv(tmp_path, 'test')!r})\n"
+               "assert 'matmean.io' in sys.modules\n"
+               "absent('matmean.baselines')\n")
+
+
+def test_file_commands_call_the_entry_points_set_on_the_cli_module(tmp_path, monkeypatch,
+                                                                   capsys):
+    # the benchmark tracer wraps cli.load_stack, cli.read_row_sets and
+    # cli.adjust_pvalues with setattr; the wrappers must be what test,
+    # screen and discover call
+    import matmean.cli as cli
+
+    calls = []
+    for name in ("load_stack", "read_row_sets", "adjust_pvalues"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, real=getattr(cli, name), **k:
+                            calls.append(name) or real(*a, **k))
+    for kind, expected in (("test", ["load_stack"]),
+                           ("screen", ["load_stack", "read_row_sets", "adjust_pvalues"]),
+                           ("discover", ["load_stack"])):
+        calls.clear()
+        assert _run(_no_scipy_argv(tmp_path, kind), capsys)[0] == 0
+        assert calls == expected, kind
+
+
 def test_a_name_missing_from_the_cli_module_is_reported_on_it():
     import matmean
     import matmean.cli

@@ -209,6 +209,38 @@ def test_projection_apply_equals_gather_expression_bytes(partition):
             assert out is None or np.shares_memory(got, out)
 
 
+def test_interleaved_groups_are_centred_one_group_at_a_time():
+    # each group's columns are gathered in turn, so centring into ``out``
+    # holds one group's share of the data at a time, where the gather
+    # expression holds the gathered columns and the expanded means; the
+    # bits are the same
+    import tracemalloc
+
+    rng = np.random.default_rng(29)
+    for k in range(60):
+        c = int(rng.integers(4, 40))
+        labels = rng.permutation(np.arange(c) % int(rng.integers(2, c // 2 + 1))).tolist()
+        if k % 2:  # and one singleton group
+            labels.insert(int(rng.integers(c + 1)), c)
+        partition = GroupPartition.from_labels(labels)
+        shape = (int(rng.integers(1, 8)), int(rng.integers(1, 30)), partition.n_cols)
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
+        for out in (None, np.full(x.size + 2, np.nan)):
+            got = ProjectionMatrix(partition).apply(x, out=out)
+            assert got.tobytes() == _gather_apply(partition, x).tobytes()
+    x = rng.standard_normal((20, 200, 100))
+    proj = ProjectionMatrix(GroupPartition.from_labels([b % 2 for b in range(100)]))
+    spare = np.empty(x.size)
+    proj.apply(x, out=spare)
+    tracemalloc.start()
+    try:
+        proj.apply(x, out=spare)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * x.nbytes
+
+
 @pytest.mark.parametrize("error, call, message", [
     pytest.param(ValueError, lambda: build_projection(GroupPartition.from_sizes((2, 2))).apply(
                      np.ones((3, 5))),

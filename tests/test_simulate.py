@@ -144,7 +144,7 @@ def test_block_diagonal_root_matches_dense_root():
         cov.check_dims(r, 4)  # needs one block per column
 
 
-def test_block_diagonal_takes_one_root_per_factor_object(monkeypatch):
+def test_block_diagonal_takes_one_root_per_distinct_factor(monkeypatch):
     import matmean.covariance as covariance
 
     real = covariance._spd_root
@@ -155,12 +155,38 @@ def test_block_diagonal_takes_one_root_per_factor_object(monkeypatch):
     first, rest = Ar1Factor(r, 0.5), Ar1Factor(r, 0.4)
     shared = BlockDiagonalCovariance((first, first, rest, rest)).root(r, c)
     assert labels == ["block 1", "block 3"]
-    # equal factors that are distinct objects each take their own root, the same bits
+    # equal ar1 and compound factors that are distinct objects share a root too
     equal = BlockDiagonalCovariance(
         (Ar1Factor(r, 0.5), Ar1Factor(r, 0.5), Ar1Factor(r, 0.4), Ar1Factor(r, 0.4))).root(r, c)
-    assert len(labels) == 6
+    assert labels[2:] == ["block 1", "block 3"]
     z = np.random.default_rng(75).standard_normal((3, r, c))
     assert np.array_equal(_applied(shared, z), _applied(equal, z))
+    BlockDiagonalCovariance((CompoundFactor(r), CompoundFactor(r, 0.5),
+                             CompoundFactor(r, 0.3), Ar1Factor(r, 0.3))).root(r, c)
+    assert labels[4:] == ["block 1", "block 3", "block 4"]
+    # a dense factor holds an array and is shared only by the same object
+    dense = DenseFactor(first.build())
+    BlockDiagonalCovariance((dense, dense, DenseFactor(first.build()), rest)).root(r, c)
+    assert labels[7:] == ["block 1", "block 3", "block 4"]
+
+
+def test_block_diagonal_config_of_equal_blocks_takes_one_root(monkeypatch):
+    # the config reader builds a factor object per entry; equal entries
+    # still share one root, with the bits of a root of its own
+    import matmean.covariance as covariance
+
+    real = covariance._spd_root
+    labels = []
+    monkeypatch.setattr(covariance, "_spd_root",
+                        lambda mat, label: labels.append(label) or real(mat, label))
+    block = {"kind": "ar1", "dim": 100, "rho": 0.3}
+    spec = _spec_from_dict(_Covariance, {"kind": "block_diagonal", "blocks": [block] * 100})
+    root = spec.root(100, 100)
+    assert labels == ["block 1"]
+    own = real(Ar1Factor(100, 0.3).build(), "block 1")
+    assert all(m is root.offsets_roots[0][1] for _, m in root.offsets_roots)
+    assert root.offsets_roots[0][1].tobytes() == own.tobytes()
+    assert [off for off, _ in root.offsets_roots] == list(range(0, 10000, 100))
 
 
 def test_kronecker_sample_covariance_monte_carlo():
