@@ -232,6 +232,9 @@ def cmd_test(args) -> tuple[dict, str | None, str | None]:
 
 
 def cmd_screen(args) -> tuple[dict, str | None, str | None]:
+    # the engine checks alpha only when a set runs; a report must not carry a bad one
+    if not 0.0 < args.alpha < 1.0:
+        raise CliError(f"alpha must be in (0, 1), got {args.alpha}")
     loaded = _cli.load_stack(args.data)
     stack = loaded.stack
     partition = parse_partition_spec(args.partition, loaded.col_ids)
@@ -361,7 +364,8 @@ def cmd_simulate(args) -> tuple[dict, str | None, str | None]:
                 "params": dict(cell.params),
                 "runs": runs,
             })
-        report = {"alpha": 0.05, "warnings": [], "mode": "preset", "preset": args.preset,
+        (alpha,) = {run.config.alpha for cell in cells for run in cell.runs}
+        report = {"alpha": alpha, "warnings": [], "mode": "preset", "preset": args.preset,
                   "cell_filter": args.cell,
                   "replicates": args.reps if args.reps else DEFAULT_REPLICATES,
                   "seed": seed, "csv_path": args.csv_path, "cells": cell_reports}

@@ -36,11 +36,12 @@ Every input is read once, so a pipe works like a file.  A declined block
 holds the first bad line, whose exact ``path:line: message`` is raised
 from the block's own lines; for stack files and ``--m0`` matrices the
 nonblank lines not yet read are counted first, so a wrong line count is
-raised before a bad line.  A duplicate long-format record is named
-through the line numbers kept per block.  The parsed values grow with
-the lines read, so nothing is sized by a stack header, and the
-long-format grid is allocated only when the record count equals its
-size.  Long-format ids are numbered in first-appearance order
+raised before a bad line.  The parsed values grow with the lines read,
+so nothing is sized by a stack header.  A long-format block is kept as
+its line numbers (to name a duplicate), a (3, k) array of id codes and
+its k values; the grid is allocated only when the record count equals
+its size, then filled block by block.  A parsed array becomes the stack
+without a copy.  Long-format ids are numbered in first-appearance order
 through dicts, by their spelling stripped of surrounding whitespace, so
 padded spellings name one id; duplicates and holes are found with numpy.
 """
@@ -250,7 +251,7 @@ def _parse_stack_format(path, head: str, blocks: _Blocks) -> LoadedStack:
     values = _parse_rows(path, blocks, n * r, c,
                          f"expected {n * r} value lines for header '{n} {r} {c}'")
     return LoadedStack(
-        stack=DataStack(values.reshape(n, r, c)),
+        stack=DataStack._owning(values.reshape(n, r, c)),
         subject_ids=tuple(str(i) for i in range(1, n + 1)),
         row_ids=tuple(str(i) for i in range(1, r + 1)),
         col_ids=tuple(str(i) for i in range(1, c + 1)),
@@ -272,14 +273,12 @@ class _Ids(dict):
         return code
 
 
-def _first_duplicate(cells: list[np.ndarray]) -> int | None:
-    """Index of the first record whose (subject, row, col) cell an earlier
-    record already holds, or None."""
+def _first_duplicate(cells: np.ndarray) -> int | None:
+    """Index of the first record whose (subject, row, col) cell, a column
+    of the (3, n) codes ``cells``, an earlier record already holds, or None."""
     order = np.lexsort(cells[::-1])  # stable, so equal cells keep record order
-    repeat = np.ones(len(order) - 1, dtype=bool)
-    for codes in cells:
-        ordered = codes[order]
-        repeat &= ordered[1:] == ordered[:-1]
+    ordered = cells[:, order]
+    repeat = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
     return int(order[1:][repeat].min()) if repeat.any() else None
 
 
@@ -288,42 +287,37 @@ def _parse_long_format(path, head: str, blocks: _Blocks) -> LoadedStack:
     stride = width + 1
     value_col = pos["value"]
     indexes = (_Ids(), _Ids(), _Ids())
-    codes: tuple[list[np.ndarray], ...] = ([], [], [])
-    parts = []
-    line_numbers = []  # of each block, to name a duplicate's line
+    records = []  # per block: line numbers, (3, k) subject/row/col codes, k values
     for numbers, block in blocks:
         fields = _block_fields(block, width, delim)
         values = None if fields is None else _floats(fields[value_col::stride])
         if values is None:
             _first_bad_line(path, zip(numbers, block), width, delim,
                             slice(value_col, value_col + 1))
-        parts.append(values)
-        line_numbers.append(numbers)
-        for name, index, out in zip(_LONG_HEADER[:3], indexes, codes):
-            keys = fields[pos[name]::stride]
-            out.append(np.fromiter(map(index.__getitem__, keys), np.int32, len(keys)))
-        del block, fields, keys  # before the next block is read
-    n_records = sum(map(len, parts))
+        codes = np.array([np.fromiter(map(index.__getitem__, fields[pos[name]::stride]),
+                                      np.int32, len(values))
+                          for name, index in zip(_LONG_HEADER[:3], indexes)])
+        records.append((numbers, codes, values))
+        del block, fields  # before the next block is read
+    n_records = sum(len(values) for _, _, values in records)
     if not n_records:
         raise ValueError(f"{path}: no data records after the header")
     n, r, c = (len(index.names) for index in indexes)
     n_cells = n * r * c
     if n_records == n_cells:  # else the grid is not allocated: it cannot be complete
-        flat = np.concatenate(codes[0]).astype(np.intp)
-        for size, out in ((r, codes[1]), (c, codes[2])):
-            flat *= size
-            flat += np.concatenate(out)
-        values = np.full(n_cells, np.nan)
-        values[flat] = np.concatenate(parts)
-        if not np.isnan(values).any():
+        grid = np.full(n_cells, np.nan)
+        for _, (s, i, j), values in records:
+            grid[(s.astype(np.intp) * r + i) * c + j] = values
+        if not np.isnan(grid).any():
             return LoadedStack(
-                stack=DataStack(values.reshape(n, r, c)),
+                stack=DataStack._owning(grid.reshape(n, r, c)),
                 subject_ids=tuple(indexes[0].names),
                 row_ids=tuple(indexes[1].names),
                 col_ids=tuple(indexes[2].names),
                 source_format="long",
             )
-    dup = _first_duplicate([np.concatenate(out) for out in codes])
+    line_numbers, codes, _ = zip(*records)
+    dup = _first_duplicate(np.concatenate(codes, axis=1))
     if dup is not None:
         _fail(path, np.concatenate(line_numbers)[dup],
               "duplicate (subject_id, row_id, col_id) triple")

@@ -467,6 +467,15 @@ def test_screen_unknown_row_id_is_fatal(tmp_path, capsys):
     )
     assert code == 1 and report is None
     assert "unknown row ids" in err and "bogus" in err
+    # alpha is refused even when every set is below the minimum size and none runs
+    _, sets = _screen_fixture(tmp_path)
+    code, report, err = _run(
+        ["screen", str(data), "--sets", str(sets), "--partition", "sizes=3,3",
+         "--alpha", "7", "--min-set-size", "50"],
+        capsys,
+    )
+    assert code == 1 and report is None
+    assert err == "error: alpha must be in (0, 1), got 7.0\n"
 
 
 def test_screen_min_set_size_override(tmp_path, capsys):

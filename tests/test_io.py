@@ -632,8 +632,13 @@ def test_long_file_is_read_without_holding_its_lines(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert loaded.stack.values.shape == (10, 5000, 10)
+    values = loaded.stack.values
+    assert values.shape == (10, 5000, 10)
     assert peak < lines_size, (peak, lines_size)
+    # the blocks' codes and values, the grid and one block's scratch: the
+    # grid is filled block by block and becomes the stack without a copy
+    assert peak <= 4.5 * values.nbytes, peak / values.nbytes
+    assert not values.flags.writeable
 
 
 def _distinct_id_records(path, n_records):
